@@ -1298,30 +1298,28 @@ func (c *Core) cslPureWait() (wait, pure bool) {
 	return true, true
 }
 
-// NextEvent reports the earliest future cycle at which ticking this core
-// could do anything beyond a pure stall. ok=false means the core is fully
-// passive: nothing changes until an external completion callback arrives
-// (those are bounded by the memory devices' own NextEvent scans).
-// ok=true with cycle==now+1 means the core must be ticked normally. The
-// method is read-only; now must be the last ticked cycle.
-func (c *Core) NextEvent(now uint64) (uint64, bool) {
+// NextEvent returns the earliest cycle in (now, horizon] at which ticking
+// this core could do anything beyond a pure stall. A fully passive core —
+// nothing changes until an external completion callback arrives, and
+// those are bounded by the memory devices' own NextEvent scans — returns
+// horizon; one that must be ticked normally returns now+1. The method is
+// read-only; now must be the last ticked cycle and horizon must exceed
+// now+1.
+func (c *Core) NextEvent(now, horizon uint64) uint64 {
 	if c.Done() {
-		return 0, false
+		return horizon
 	}
 	if c.skipSup == nil || !c.skipSup.SkipQuiescent() {
-		return now + 1, true
+		return now + 1
 	}
 	_, deadline, skippable := c.skipScan(now)
 	if !skippable {
-		return now + 1, true
+		return now + 1
 	}
 	if deadline == 0 {
-		return 0, false
+		return horizon
 	}
-	if deadline <= now+1 {
-		return now + 1, true
-	}
-	return deadline, true
+	return min(max(deadline, now+1), horizon)
 }
 
 // SkipTo advances the core's clock from its current cycle to last (the

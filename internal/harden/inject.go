@@ -181,50 +181,39 @@ func (inj *Injector) storm() {
 	}
 }
 
-// NextFire reports the first cycle in (now, horizon] at which Tick would
-// do observable work: release a held completion, open a busy burst, or
-// fire an eviction storm. The dice for future cycles are previewed on a
-// copy of the RNG stream in exactly Tick's draw order, so the prediction
-// is bit-exact; the real draws happen in SkipTo and in the normal Tick at
-// the fire cycle. ok=false means nothing fires within the horizon.
-func (inj *Injector) NextFire(horizon uint64) (uint64, bool) {
-	ev, ok := uint64(0), false
+// NextEvent returns the first cycle in (now, horizon] at which Tick would
+// do observable work — release a held completion, open a busy burst, or
+// fire an eviction storm — or horizon when nothing fires sooner. The dice
+// for future cycles are previewed on a copy of the RNG stream in exactly
+// Tick's draw order, so the prediction is bit-exact; the real draws
+// happen in SkipTo and in the normal Tick at the fire cycle. The preview
+// costs up to two draws per cycle of horizon, so callers should pass the
+// tightest horizon they know. Read-only; now must be the last ticked
+// cycle and horizon must exceed now+1.
+func (inj *Injector) NextEvent(now, horizon uint64) uint64 {
 	if len(inj.delayed) > 0 {
-		c := inj.delayed[0].cycle
-		if c <= inj.now {
-			c = inj.now + 1
+		horizon = min(max(inj.delayed[0].cycle, now+1), horizon)
+	}
+	if inj.plan.BusyPermille == 0 && inj.plan.StormPermille == 0 {
+		return horizon
+	}
+	rng := inj.rng
+	for c := now + 1; c < horizon; c++ {
+		if inj.plan.BusyPermille > 0 && c >= inj.busyTill &&
+			int(splitmixNext(&rng)%1000) < inj.plan.BusyPermille {
+			return c
 		}
-		ev, ok = c, true
-		if c < horizon {
-			horizon = c
+		if inj.plan.StormPermille > 0 &&
+			int(splitmixNext(&rng)%1000) < inj.plan.StormPermille {
+			return c
 		}
 	}
-	if inj.plan.BusyPermille > 0 || inj.plan.StormPermille > 0 {
-		rng := inj.rng
-		for c := inj.now + 1; c <= horizon; c++ {
-			fired := false
-			if inj.plan.BusyPermille > 0 && c >= inj.busyTill &&
-				int(splitmixNext(&rng)%1000) < inj.plan.BusyPermille {
-				fired = true
-			}
-			if !fired && inj.plan.StormPermille > 0 &&
-				int(splitmixNext(&rng)%1000) < inj.plan.StormPermille {
-				fired = true
-			}
-			if fired {
-				if !ok || c < ev {
-					ev, ok = c, true
-				}
-				break
-			}
-		}
-	}
-	return ev, ok
+	return horizon
 }
 
 // SkipTo advances the injector's clock and RNG stream over the skipped
 // cycles (now, upTo], drawing exactly the dice each normally ticked cycle
-// would have drawn. The caller must have bounded the skip with NextFire:
+// would have drawn. The caller must have bounded the skip with NextEvent:
 // none of the skipped cycles may fire.
 func (inj *Injector) SkipTo(upTo uint64) {
 	if len(inj.delayed) > 0 && inj.delayed[0].cycle <= upTo {

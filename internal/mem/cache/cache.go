@@ -469,25 +469,26 @@ func (c *Cache) Tick(cycle uint64) {
 	}
 }
 
-// NextEvent reports the earliest future cycle at which Tick would do real
-// work, assuming no intervening accesses: a queued fill retry or
-// writeback needs every cycle, otherwise the next due hit completion is
-// the deadline. ok=false means the cache is passive — any issued line
-// fills complete through the lower level's own events. Read-only; now
-// must be the last ticked cycle.
-func (c *Cache) NextEvent(now uint64) (uint64, bool) {
+// NextEvent returns the earliest cycle in (now, horizon] at which Tick
+// would do real work, assuming no intervening accesses: a queued fill
+// retry or writeback needs every cycle, otherwise the next due hit
+// completion is the deadline. A passive cache returns horizon — any issued
+// line fills complete through the lower level's own events. Read-only;
+// now must be the last ticked cycle and horizon must exceed now+1.
+func (c *Cache) NextEvent(now, horizon uint64) uint64 {
 	if len(c.fillRetryQ) > 0 || len(c.writebackQ) > 0 {
-		return now + 1, true
+		return now + 1
 	}
 	if len(c.pendingHits) > 0 {
-		ev := c.pendingHits[0].cycle
-		if ev <= now {
-			ev = now + 1
-		}
-		return ev, true
+		return min(max(c.pendingHits[0].cycle, now+1), horizon)
 	}
-	return 0, false
+	return horizon
 }
+
+// SkipTo refreshes the cache's clock at last, the final cycle of a run
+// NextEvent proved idle: no hit is due and no queue is waiting, so the
+// tick only restamps now and the port budget for accesses at last+1.
+func (c *Cache) SkipTo(last uint64) { c.Tick(last) }
 
 // PinnedLines returns the number of currently pinned lines (tests, stats).
 func (c *Cache) PinnedLines() int {

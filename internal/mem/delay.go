@@ -93,19 +93,21 @@ func (d *DelayDevice) Tick(cycle uint64) {
 	}
 }
 
-// NextEvent reports the next due completion, assuming no intervening
-// accesses. ok=false means nothing is in flight. Read-only; now must be
-// the last ticked cycle.
-func (d *DelayDevice) NextEvent(now uint64) (uint64, bool) {
+// NextEvent returns the next due completion, capped at horizon, assuming
+// no intervening accesses; with nothing in flight it returns horizon.
+// Read-only; now must be the last ticked cycle and horizon must exceed
+// now+1.
+func (d *DelayDevice) NextEvent(now, horizon uint64) uint64 {
 	if len(d.pending) == 0 {
-		return 0, false
+		return horizon
 	}
-	ev := d.pending[0].cycle
-	if ev <= now {
-		ev = now + 1
-	}
-	return ev, true
+	return min(max(d.pending[0].cycle, now+1), horizon)
 }
+
+// SkipTo refreshes the device's clock at last, the final cycle of a run
+// NextEvent proved idle: nothing completes, so the tick only restamps now
+// for requests accepted at last+1.
+func (d *DelayDevice) SkipTo(last uint64) { d.Tick(last) }
 
 // Idle reports whether no requests are in flight.
 func (d *DelayDevice) Idle() bool { return len(d.pending) == 0 }

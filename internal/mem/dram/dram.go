@@ -344,17 +344,17 @@ func (d *DRAM) issueOne(ci int, cycle uint64) {
 	}
 }
 
-// NextEvent reports the earliest future cycle at which Tick would do real
-// work, assuming no intervening accesses: the next due completion, or the
-// first cycle any queued request inside the scheduling window clears its
-// bank-busy, bus and tFAW constraints. Those constraints only change when
-// an issue happens, so no issue can occur before the reported cycle.
-// ok=false means the controller is fully drained. Read-only; now must be
-// the last ticked cycle.
-func (d *DRAM) NextEvent(now uint64) (uint64, bool) {
-	ev, ok := uint64(0), false
+// NextEvent returns the earliest cycle in (now, horizon] at which Tick
+// would do real work, assuming no intervening accesses: the next due
+// completion, or the first cycle any queued request inside the scheduling
+// window clears its bank-busy, bus and tFAW constraints. Those constraints
+// only change when an issue happens, so no issue can occur before the
+// returned cycle. A drained controller returns horizon. Read-only; now
+// must be the last ticked cycle and horizon must exceed now+1.
+func (d *DRAM) NextEvent(now, horizon uint64) uint64 {
+	ev := horizon
 	if len(d.pending) > 0 {
-		ev, ok = d.pending[0].cycle, true
+		ev = min(ev, d.pending[0].cycle)
 	}
 	for ci := range d.channels {
 		c := &d.channels[ci]
@@ -366,25 +366,22 @@ func (d *DRAM) NextEvent(now uint64) (uint64, bool) {
 			e := c.queue[qi]
 			_, bk, row := d.route(e.req.Addr)
 			b := &c.banks[bk]
-			ready := b.busyUntil
-			if c.busFree > ready {
-				ready = c.busFree
-			}
+			ready := max(b.busyUntil, c.busFree)
 			if b.openRow != row {
 				if faw := c.acts[0] + int64(d.cfg.TFAW); faw > int64(ready) {
 					ready = uint64(faw)
 				}
 			}
-			if !ok || ready < ev {
-				ev, ok = ready, true
-			}
+			ev = min(ev, ready)
 		}
 	}
-	if ok && ev <= now {
-		ev = now + 1
-	}
-	return ev, ok
+	return max(ev, now+1)
 }
+
+// SkipTo refreshes the controller's clock at last, the final cycle of a
+// run NextEvent proved idle: nothing completes or issues, so the tick
+// only restamps now for requests accepted at last+1.
+func (d *DRAM) SkipTo(last uint64) { d.Tick(last) }
 
 // QueueOccupancy returns the total number of queued (unissued) requests,
 // for tests and load monitoring.

@@ -146,27 +146,30 @@ func (x *Xbar) Tick(cycle uint64) {
 	}
 }
 
-// NextEvent reports the earliest future cycle at which Tick would do real
-// work, assuming no intervening accesses: arrived requests awaiting
-// forwarding bandwidth retry every cycle; otherwise the earliest in-flight
-// traversal (either direction) matures. ok=false means the crossbar is
-// idle. Read-only; now must be the last ticked cycle.
-func (x *Xbar) NextEvent(now uint64) (uint64, bool) {
+// NextEvent returns the earliest cycle in (now, horizon] at which Tick
+// would do real work, assuming no intervening accesses: arrived requests
+// awaiting forwarding bandwidth retry every cycle; otherwise the earliest
+// in-flight traversal (either direction) matures. An idle crossbar
+// returns horizon. Read-only; now must be the last ticked cycle and
+// horizon must exceed now+1.
+func (x *Xbar) NextEvent(now, horizon uint64) uint64 {
 	if len(x.ready) > 0 {
-		return now + 1, true
+		return now + 1
 	}
-	ev, ok := uint64(0), false
+	ev := horizon
 	if len(x.inQ) > 0 {
-		ev, ok = x.inQ[0].cycle, true
+		ev = min(ev, x.inQ[0].cycle)
 	}
-	if len(x.respQ) > 0 && (!ok || x.respQ[0].cycle < ev) {
-		ev, ok = x.respQ[0].cycle, true
+	if len(x.respQ) > 0 {
+		ev = min(ev, x.respQ[0].cycle)
 	}
-	if ok && ev <= now {
-		ev = now + 1
-	}
-	return ev, ok
+	return max(ev, now+1)
 }
+
+// SkipTo refreshes the crossbar's clock at last, the final cycle of a run
+// NextEvent proved idle: nothing matures, so the tick only restamps now
+// for requests accepted at last+1.
+func (x *Xbar) SkipTo(last uint64) { x.Tick(last) }
 
 // Idle reports whether nothing is in flight through the crossbar.
 func (x *Xbar) Idle() bool {

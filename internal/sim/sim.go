@@ -9,7 +9,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
+	"slices"
 
 	"github.com/virec/virec/internal/asm"
 	"github.com/virec/virec/internal/cpu"
@@ -131,12 +133,6 @@ type Config struct {
 	// The slice is reused after the call returns.
 	TraceSink func([]telemetry.Event)
 
-	// MetricsEvery, when > 0 together with OnMetrics, delivers a metrics
-	// snapshot every that many cycles (watching livelocks develop).
-	MetricsEvery uint64
-	// OnMetrics receives the periodic snapshots.
-	OnMetrics func(*telemetry.Snapshot)
-
 	// HeartbeatEvery, when > 0 together with OnHeartbeat, streams an
 	// incremental telemetry.Delta every that many cycles: only the
 	// metrics that changed since the previous heartbeat, sequence-
@@ -197,6 +193,9 @@ func (c *Config) withDefaults() Config {
 	if out.Seed == 0 {
 		out.Seed = 0x9e3779b97f4a7c15
 	}
+	if out.OnHeartbeat == nil {
+		out.HeartbeatEvery = 0
+	}
 	return out
 }
 
@@ -232,13 +231,19 @@ type System struct {
 	ICaches []*cache.Cache
 	Xbar    *xbar.Xbar
 	DRAM    *dram.DRAM
-	fixed   *mem.DelayDevice
 	layouts []cpu.RegLayout
 	oracles []*regfile.ViReC // Belady-policy providers awaiting sequences
 
 	// Injectors, when fault injection is enabled, sit between each core
 	// (pipeline, store queue, register provider) and its dcache.
 	Injectors []*harden.Injector
+
+	// devices lists every clocked component once, in tick order: cores,
+	// dcaches, icaches, fault injectors, the crossbar, then DRAM or the
+	// fixed-latency device. Run ticks and skip-refreshes the system by
+	// walking it. probe holds the same devices in the order skipTarget
+	// asks them: the injectors move behind the memory devices.
+	devices, probe []device
 
 	// Registry is the run's unified metric namespace: every structure's
 	// counters, gauges and histograms live here under per-structure
@@ -297,10 +302,12 @@ func New(cfg Config) (*System, error) {
 
 	// Memory side: either the DRAM model behind the crossbar, or a fixed
 	// latency device for controlled sweeps.
-	var below mem.Device
+	var below interface {
+		mem.Device
+		device
+	}
 	if cfg.FixedMemLatency > 0 {
-		s.fixed = mem.NewDelayDevice(uint64(cfg.FixedMemLatency))
-		below = s.fixed
+		below = mem.NewDelayDevice(uint64(cfg.FixedMemLatency))
 	} else {
 		s.DRAM = dram.New(cfg.DRAM)
 		s.DRAM.RegisterMetrics(s.Registry, "dram")
@@ -427,6 +434,12 @@ func New(cfg Config) (*System, error) {
 		}
 		s.Cores = append(s.Cores, core)
 	}
+
+	front := slices.Concat(devicesOf(s.Cores), devicesOf(s.DCaches), devicesOf(s.ICaches))
+	memory := []device{s.Xbar, below}
+	injectors := devicesOf(s.Injectors)
+	s.devices = slices.Concat(front, injectors, memory)
+	s.probe = slices.Concat(front, memory, injectors)
 
 	s.offload()
 	s.recordOracles()
@@ -592,30 +605,13 @@ func (s *System) Run() (res *Result, err error) {
 	// resumes skipping right after the boundary tick.
 	var skipProbe, skipBackoff uint64
 	for ; cycle < cfg.MaxCycles; cycle++ {
+		for _, d := range s.devices {
+			d.Tick(cycle)
+		}
 		done := true
-		for _, c := range s.Cores {
-			c.Tick(cycle)
-			if !c.Done() {
-				done = false
-			}
-		}
-		for _, dc := range s.DCaches {
-			dc.Tick(cycle)
-		}
-		for _, ic := range s.ICaches {
-			ic.Tick(cycle)
-		}
-		for _, inj := range s.Injectors {
-			inj.Tick(cycle)
-		}
-		s.Xbar.Tick(cycle)
-		if s.DRAM != nil {
-			s.DRAM.Tick(cycle)
-		} else {
-			s.fixed.Tick(cycle)
-		}
 		var total uint64
 		for i, c := range s.Cores {
+			done = done && c.Done()
 			total += c.Stats.Insts
 			if c.Stats.Insts != lastInsts[i] {
 				lastInsts[i] = c.Stats.Insts
@@ -633,7 +629,7 @@ func (s *System) Run() (res *Result, err error) {
 				Dump:         harden.Dump(s.view()),
 			}
 		}
-		if k := cfg.Harden.CheckEvery; k > 0 && cycle%k == k-1 {
+		if nextBoundary(cycle, cfg.Harden.CheckEvery) == cycle {
 			if msg := harden.CheckSystem(s.view()); msg != "" {
 				return nil, &InvariantError{
 					Cycle:     cycle,
@@ -642,12 +638,7 @@ func (s *System) Run() (res *Result, err error) {
 				}
 			}
 		}
-		if k := cfg.MetricsEvery; k > 0 && cfg.OnMetrics != nil && cycle%k == k-1 {
-			snap := s.Registry.Snapshot()
-			snap.Cycle = cycle + 1
-			cfg.OnMetrics(snap)
-		}
-		if k := cfg.HeartbeatEvery; k > 0 && cfg.OnHeartbeat != nil && cycle%k == k-1 {
+		if nextBoundary(cycle, cfg.HeartbeatEvery) == cycle {
 			var d *telemetry.Delta
 			d, hbPrev = s.Registry.DeltaSince(hbPrev, hbSeq, cycle+1)
 			hbSeq++
@@ -662,31 +653,13 @@ func (s *System) Run() (res *Result, err error) {
 				skipProbe = cycle + 1 + skipBackoff
 			} else {
 				// Cycles (cycle, t) are pure stalls on every component:
-				// ticking them would only advance stall counters and
-				// device clocks. Bulk-account them and resume at t.
+				// ticking them would only advance stall counters, RNG
+				// streams and device clocks. Bulk-account them and
+				// resume at t.
 				last := t - 1
 				s.skipped += last - cycle
-				for _, c := range s.Cores {
-					c.SkipTo(last)
-				}
-				// One quiescent tick refreshes each device's internal
-				// clock so latency stamps taken at cycle t match an
-				// unskipped run; no queue head is due before t, so
-				// nothing else moves.
-				for _, dc := range s.DCaches {
-					dc.Tick(last)
-				}
-				for _, ic := range s.ICaches {
-					ic.Tick(last)
-				}
-				for _, inj := range s.Injectors {
-					inj.SkipTo(last)
-				}
-				s.Xbar.Tick(last)
-				if s.DRAM != nil {
-					s.DRAM.Tick(last)
-				} else {
-					s.fixed.Tick(last)
+				for _, d := range s.devices {
+					d.SkipTo(last)
 				}
 				cycle = last
 				skipBackoff = 0
@@ -735,7 +708,7 @@ func (s *System) Run() (res *Result, err error) {
 	s.Tracer.Flush()
 	res.Metrics = s.Registry.Snapshot()
 	res.Metrics.Cycle = res.Cycles
-	if cfg.HeartbeatEvery > 0 && cfg.OnHeartbeat != nil {
+	if cfg.HeartbeatEvery > 0 {
 		// Final heartbeat from the very snapshot the caller receives:
 		// fold(stream) == Result.Metrics is exact, not approximate.
 		cfg.OnHeartbeat(telemetry.DeltaFrom(hbPrev, res.Metrics, hbSeq))
@@ -743,89 +716,72 @@ func (s *System) Run() (res *Result, err error) {
 	return res, nil
 }
 
+// device is one clocked component of a System. The run loop ticks every
+// device once per cycle in list order; the skip-ahead path asks each for
+// its next event and, when the whole list agrees a run of cycles is a
+// pure stall, moves each across it with SkipTo.
+type device interface {
+	// Tick advances the device one cycle.
+	Tick(cycle uint64)
+	// NextEvent returns the earliest cycle in (now, horizon] at which
+	// Tick must run normally, or horizon when nothing is due sooner,
+	// assuming no new accesses arrive. Read-only; now is the last ticked
+	// cycle and horizon exceeds now+1.
+	NextEvent(now, horizon uint64) uint64
+	// SkipTo moves the device across the pure-stall cycles up to and
+	// including last, with exactly the effects ticking them would have
+	// had: stall accounting, RNG draws, clock stamps.
+	SkipTo(last uint64)
+}
+
+// devicesOf lists ds as devices.
+func devicesOf[D device](ds []D) []device {
+	out := make([]device, len(ds))
+	for i, d := range ds {
+		out[i] = d
+	}
+	return out
+}
+
+// nextBoundary returns the first cycle at or after c at which a periodic
+// observer with period k fires (cycles k-1, 2k-1, ...), or MaxUint64 when
+// k is zero (observer disabled).
+func nextBoundary(c, k uint64) uint64 {
+	if k == 0 {
+		return math.MaxUint64
+	}
+	return c/k*k + k - 1
+}
+
 // skipTarget returns the earliest cycle after now that must be ticked
 // normally. When it exceeds now+1, every cycle strictly between now and
-// the target is a provable pure stall system-wide: each core reports a
-// skippable state (Core.NextEvent), every memory device and injector has
-// no event due, and no watchdog deadline or periodic observer boundary
-// (invariant check, metrics, heartbeat) falls inside the window. The
-// loop may then jump the clock without changing any observable behavior.
+// the target is a provable pure stall system-wide: no watchdog deadline or
+// periodic observer boundary (invariant check, heartbeat) falls inside
+// the window, and every device's NextEvent agrees. The loop may then jump
+// the clock without changing any observable behavior.
+//
+// Devices are asked in probe order, each against the tightest bound found
+// so far. Cores lead, so a busy core ends the probe at once. Injectors
+// come last: their NextEvent previews RNG draws for every cycle up to the
+// bound, so they must see the one the memory devices set.
 //
 //virec:hotpath
 func (s *System) skipTarget(now uint64, wd *harden.Watchdog) uint64 {
 	cfg := s.cfg
 	t := cfg.MaxCycles
-	if t <= now+1 {
-		return now + 1
+	if d, ok := wd.Deadline(); ok {
+		t = min(t, d)
 	}
-	for _, c := range s.Cores {
-		if ev, ok := c.NextEvent(now); ok {
-			if ev < t {
-				t = ev
-			}
-			if t <= now+1 {
-				return now + 1
-			}
+	// The first observer boundary at or after now+1 must be ticked so its
+	// check or delta happens exactly where an unskipped run takes it.
+	t = min(t, nextBoundary(now+1, cfg.Harden.CheckEvery), nextBoundary(now+1, cfg.HeartbeatEvery))
+	for _, d := range s.probe {
+		if t <= now+1 {
+			break
 		}
+		t = d.NextEvent(now, t)
 	}
-	if d, ok := wd.Deadline(); ok && d < t {
-		t = d
-	}
-	// Observer boundaries fire at cycle%k == k-1; the first such cycle at
-	// or after now+1 must be ticked so its snapshot/check happens exactly
-	// where an unskipped run would take it.
-	if k := cfg.Harden.CheckEvery; k > 0 {
-		if b := (now+1)/k*k + k - 1; b < t {
-			t = b
-		}
-	}
-	if k := cfg.MetricsEvery; k > 0 && cfg.OnMetrics != nil {
-		if b := (now+1)/k*k + k - 1; b < t {
-			t = b
-		}
-	}
-	if k := cfg.HeartbeatEvery; k > 0 && cfg.OnHeartbeat != nil {
-		if b := (now+1)/k*k + k - 1; b < t {
-			t = b
-		}
-	}
-	if t <= now+1 {
-		return now + 1
-	}
-	for _, dc := range s.DCaches {
-		if ev, ok := dc.NextEvent(now); ok && ev < t {
-			t = ev
-		}
-	}
-	for _, ic := range s.ICaches {
-		if ev, ok := ic.NextEvent(now); ok && ev < t {
-			t = ev
-		}
-	}
-	if ev, ok := s.Xbar.NextEvent(now); ok && ev < t {
-		t = ev
-	}
-	if s.DRAM != nil {
-		if ev, ok := s.DRAM.NextEvent(now); ok && ev < t {
-			t = ev
-		}
-	} else if ev, ok := s.fixed.NextEvent(now); ok && ev < t {
-		t = ev
-	}
-	if t <= now+1 {
-		return now + 1
-	}
-	// Injectors preview their RNG stream only up to the tightest bound
-	// found so far, so go last.
-	for _, inj := range s.Injectors {
-		if ev, ok := inj.NextFire(t - 1); ok && ev < t {
-			t = ev
-			if t <= now+1 {
-				return now + 1
-			}
-		}
-	}
-	return t
+	return max(t, now+1)
 }
 
 // Simulate is the one-call convenience: build and run.

@@ -180,6 +180,49 @@ func TestSkipAheadEquivalenceFixedLatency(t *testing.T) {
 	})
 }
 
+// TestSkipAheadEquivalenceNoICache covers a device list without
+// icaches: fetch goes through the fixed-latency pipe, so the skip scan and
+// refresh see only cores, dcaches and the memory side.
+func TestSkipAheadEquivalenceNoICache(t *testing.T) {
+	ch, _ := workloads.ByName("chase")
+	for _, kind := range []sim.CoreKind{sim.Banked, sim.ViReC} {
+		t.Run(kind.String(), func(t *testing.T) {
+			t.Parallel()
+			requireEquivalent(t, sim.Config{
+				Kind:           kind,
+				ThreadsPerCore: 2,
+				Workload:       ch,
+				Iters:          32,
+				ContextPct:     60,
+				Policy:         vrmu.LRC,
+				NoICache:       true,
+			})
+		})
+	}
+}
+
+// TestSkipAheadEquivalenceFixedLatencyFaults covers fault injectors
+// stacked above the DelayDevice: the injectors' RNG preview is bounded by
+// the fixed-latency completions instead of DRAM events.
+func TestSkipAheadEquivalenceFixedLatencyFaults(t *testing.T) {
+	ch, _ := workloads.ByName("chase")
+	for _, np := range harden.Schedules() {
+		t.Run(np.Name, func(t *testing.T) {
+			t.Parallel()
+			requireEquivalent(t, sim.Config{
+				Kind:            sim.ViReC,
+				ThreadsPerCore:  2,
+				Workload:        ch,
+				Iters:           32,
+				ContextPct:      60,
+				Policy:          vrmu.LRC,
+				FixedMemLatency: 150,
+				Harden:          harden.Config{FaultSeed: 0x5eed, Plan: np.Plan},
+			})
+		})
+	}
+}
+
 // TestSkipAheadActuallySkips guards against the equivalence suite passing
 // vacuously: on a pointer chase with two threads, long memory stalls must
 // dominate, and the skip path must not silently degrade into ticking
