@@ -181,8 +181,8 @@ type Core struct {
 	// skipSup caches the provider's SkipSupport view (nil when the
 	// provider does not implement it), so the per-cycle skip scan never
 	// repeats the type assertion.
-	skipSup SkipSupport
-	dcache  mem.Device
+	skipSup  SkipSupport
+	dcache   mem.Device
 	icache   mem.Device // nil = fixed-latency fetch pipe
 	memory   *mem.Memory
 	threads  []*Thread
@@ -355,9 +355,9 @@ type CommitEvent struct {
 	Seq    uint64
 	PC     int
 	Inst   *isa.Inst
-	Wrote  bool    // a non-XZR register was written back
-	Rd     isa.Reg // destination register when Wrote
-	Val    uint64  // value written when Wrote
+	Wrote  bool     // a non-XZR register was written back
+	Rd     isa.Reg  // destination register when Wrote
+	Val    uint64   // value written when Wrote
 	Addr   mem.Addr // effective address for loads/stores
 	Data   uint64   // store data, masked to the access width
 }

@@ -272,13 +272,9 @@ func buildReference(k *Kernel, cfg sim.Config, threads int) ([]refThread, *mem.M
 		k.Spec.Setup(refMem, base, p, func(r isa.Reg, v uint64) { ctx.Set(r, v) })
 	}
 	budget := uint64(k.MaxDyn)*2 + 4096
-	// One pre-decode of the kernel serves every thread: the golden side
-	// runs through the threaded-code interpreter, so the difftest matrix
-	// also cross-checks Precode lowering against the timed model.
-	pre := interp.Precode(k.Spec.Prog)
 	for th := 0; th < threads; th++ {
 		ref := &refs[th]
-		res := pre.Run(&ref.final, refMem, budget, func(e interp.TraceEntry) {
+		res := interp.Run(k.Spec.Prog, &ref.final, refMem, budget, func(e interp.TraceEntry) {
 			ref.entries = append(ref.entries, e)
 		})
 		if !res.Halted {

@@ -24,10 +24,10 @@ type ShrinkResult struct {
 type mutMode uint8
 
 const (
-	mRemove mutMode = iota // drop the node (and its subtree)
-	mUnwrap                // replace a loop/if with its body
-	mTrip1                 // force a loop's trip count to 1
-	mTripHalf              // halve a loop's trip count
+	mRemove   mutMode = iota // drop the node (and its subtree)
+	mUnwrap                  // replace a loop/if with its body
+	mTrip1                   // force a loop's trip count to 1
+	mTripHalf                // halve a loop's trip count
 )
 
 func subtreeSize(n *node) int {

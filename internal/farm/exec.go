@@ -74,10 +74,10 @@ func ExecuteObserved(ctx context.Context, spec *Spec, obs *ExecObserver) ([]byte
 
 // SimResult is the canonical result document of a sim job.
 type SimResult struct {
-	Spec   *SimSpec            `json:"spec"`
-	Cycles uint64              `json:"cycles"`
-	Insts  uint64              `json:"insts"`
-	IPC    string              `json:"ipc"` // fixed 6-decimal rendering
+	Spec    *SimSpec            `json:"spec"`
+	Cycles  uint64              `json:"cycles"`
+	Insts   uint64              `json:"insts"`
+	IPC     string              `json:"ipc"` // fixed 6-decimal rendering
 	Metrics *telemetry.Snapshot `json:"metrics"`
 }
 

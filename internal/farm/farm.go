@@ -212,9 +212,9 @@ func (o *Options) withDefaults() Options {
 // Sentinel errors the admission path returns; the HTTP layer maps them
 // onto status codes.
 var (
-	ErrQueueFull = errors.New("farm: queue full")          // → 429
+	ErrQueueFull = errors.New("farm: queue full")                   // → 429
 	ErrDraining  = errors.New("farm: draining, not accepting jobs") // → 503
-	ErrNotFound  = errors.New("farm: no such job")         // → 404
+	ErrNotFound  = errors.New("farm: no such job")                  // → 404
 )
 
 // Farm is the running service.

@@ -36,16 +36,16 @@ import (
 type record struct {
 	Op          string `json:"op"` // enqueue|start|done|fail|quarantine
 	ID          uint64 `json:"id"`
-	TS          int64  `json:"ts,omitempty"`          // unix ns, lifecycle event timestamp
-	TraceID     string `json:"trace_id,omitempty"`    // enqueue: minted trace identity
-	Spec        *Spec  `json:"spec,omitempty"`        // enqueue
-	Key         string `json:"key,omitempty"`         // enqueue: cache key
-	Attempt     int    `json:"attempt,omitempty"`     // start/fail
-	Err         string `json:"err,omitempty"`         // fail/quarantine (truncated)
-	Fingerprint string `json:"fp,omitempty"`          // fail/quarantine
-	ResultHash  string `json:"result,omitempty"`      // done: sha256 of result bytes
-	FromCache   bool   `json:"from_cache,omitempty"`  // done: served without executing
-	Terminal    bool   `json:"terminal,omitempty"`    // fail: retries exhausted
+	TS          int64  `json:"ts,omitempty"`         // unix ns, lifecycle event timestamp
+	TraceID     string `json:"trace_id,omitempty"`   // enqueue: minted trace identity
+	Spec        *Spec  `json:"spec,omitempty"`       // enqueue
+	Key         string `json:"key,omitempty"`        // enqueue: cache key
+	Attempt     int    `json:"attempt,omitempty"`    // start/fail
+	Err         string `json:"err,omitempty"`        // fail/quarantine (truncated)
+	Fingerprint string `json:"fp,omitempty"`         // fail/quarantine
+	ResultHash  string `json:"result,omitempty"`     // done: sha256 of result bytes
+	FromCache   bool   `json:"from_cache,omitempty"` // done: served without executing
+	Terminal    bool   `json:"terminal,omitempty"`   // fail: retries exhausted
 }
 
 // checkpointDoc is the atomically-replaced full-state snapshot.

@@ -12,7 +12,7 @@ import (
 // so every benchmark iteration executes exactly the instruction budget.
 // The pointer chase through a pre-seeded ring keeps memory reads on
 // mapped pages and the program free of stores: iterations are idempotent,
-// so the dispatch loops run from identical state every time.
+// so the dispatch loop runs from identical state every time.
 func dispatchProg(tb testing.TB) (*asm.Program, *mem.Memory, mem.Addr) {
 	tb.Helper()
 	prog := asm.MustAssemble("dispatch", `
@@ -34,48 +34,30 @@ func dispatchProg(tb testing.TB) (*asm.Program, *mem.Memory, mem.Addr) {
 	return prog, m, ringBase
 }
 
-// BenchmarkPrecodeDispatch compares the per-instruction decode loop
-// against threaded-code dispatch on a fixed instruction budget. The
-// precoded/fast case is the hot path behind difftest's golden side and
-// the oracle recorder; CI gates it at zero allocations per run.
-func BenchmarkPrecodeDispatch(b *testing.B) {
+// BenchmarkInterpDispatch measures the interpreter loop on a fixed
+// instruction budget, untraced and with a no-op trace callback (the form
+// difftest's golden side and the oracle recorder use). CI gates both rows
+// at zero allocations per run.
+func BenchmarkInterpDispatch(b *testing.B) {
 	prog, m, ringBase := dispatchProg(b)
 	const budget = 1 << 16
-	pre := Precode(prog)
-	sink := func(TraceEntry) {}
-	var ctx Context
-	reset := func() {
-		ctx = Context{}
-		ctx.Regs[isa.X1] = uint64(ringBase)
+	for _, row := range []struct {
+		name  string
+		trace func(TraceEntry)
+	}{
+		{"untraced", nil},
+		{"traced", func(TraceEntry) {}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			var ctx Context
+			for i := 0; i < b.N; i++ {
+				ctx = Context{}
+				ctx.Regs[isa.X1] = uint64(ringBase)
+				if res := Run(prog, &ctx, m, budget, row.trace); res.Halted || res.Insts != budget {
+					b.Fatalf("dispatch loop exited early: %+v", res)
+				}
+			}
+			b.ReportMetric(float64(budget)*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
+		})
 	}
-	check := func(b *testing.B, res Result) {
-		if res.Halted || res.Insts != budget {
-			b.Fatalf("dispatch loop exited early: %+v", res)
-		}
-	}
-	report := func(b *testing.B) {
-		b.ReportMetric(float64(budget)*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
-	}
-
-	b.Run("legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			reset()
-			check(b, Run(prog, &ctx, m, budget, nil))
-		}
-		report(b)
-	})
-	b.Run("precoded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			reset()
-			check(b, pre.Run(&ctx, m, budget, nil))
-		}
-		report(b)
-	})
-	b.Run("precoded-traced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			reset()
-			check(b, pre.Run(&ctx, m, budget, sink))
-		}
-		report(b)
-	})
 }

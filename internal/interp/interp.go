@@ -58,6 +58,8 @@ type Result struct {
 // Run executes prog from ctx until HALT or maxInsts instructions. YIELD is
 // a no-op functionally. The optional trace callback sees every executed
 // instruction in order.
+//
+//virec:hotpath
 func Run(prog *asm.Program, ctx *Context, m *mem.Memory, maxInsts uint64, trace func(TraceEntry)) Result {
 	var n uint64
 	for n < maxInsts {

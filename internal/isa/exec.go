@@ -28,11 +28,6 @@ func logicFlags(r uint64) Flags {
 	return Flags{N: int64(r) < 0, Z: r == 0}
 }
 
-// SubFlags exposes the NZCV computation of a-b. The pre-decoded
-// threaded-code interpreter (internal/interp.Precoded) dispatches CMP/CMPI
-// directly to it instead of re-entering the EvalALU switch per execution.
-func SubFlags(a, b uint64) Flags { return subFlags(a, b) }
-
 // Holds reports whether condition c holds under flags f.
 func (f Flags) Holds(c Cond) bool {
 	switch c {

@@ -13,7 +13,6 @@ import (
 	"runtime/debug"
 	"slices"
 
-	"github.com/virec/virec/internal/asm"
 	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/cpu/regfile"
 	"github.com/virec/virec/internal/harden"
@@ -452,26 +451,16 @@ func (s *System) recordOracles() {
 	if len(s.oracles) == 0 {
 		return
 	}
-	// Each distinct kernel is pre-decoded once; every thread then replays
-	// the threaded-code form. Belady oracles over mixes used to pay the
-	// fetch/decode interpreter per thread.
-	precoded := make(map[*asm.Program]*interp.Precoded)
 	for coreID, v := range s.oracles {
 		layout := s.layouts[coreID]
 		for th := 0; th < s.cfg.ThreadsPerCore; th++ {
-			prog := s.specFor(th).Prog
-			p := precoded[prog]
-			if p == nil {
-				p = interp.Precode(prog)
-				precoded[prog] = p
-			}
 			var ctx interp.Context
 			for r := isa.Reg(0); r < isa.NumRegs; r++ {
 				ctx.Set(r, s.Memory.Read64(layout.RegAddr(th, r)))
 			}
 			var seq []isa.Reg
 			var buf [6]isa.Reg
-			p.Run(&ctx, s.Memory.Clone(), 100_000_000,
+			interp.Run(s.specFor(th).Prog, &ctx, s.Memory.Clone(), 100_000_000,
 				func(e interp.TraceEntry) {
 					for _, r := range e.Inst.Regs(buf[:0]) {
 						if r != isa.XZR {
