@@ -155,13 +155,45 @@ type fetchSlot struct {
 	readyAt uint64 // fixed-latency path
 	ready   bool   // icache path: completion arrived
 	issued  bool   // icache path: request accepted
-	gen     uint64 // squash stale completions after redirects
+	// tag is fresh on every allocation from the pool: an icache completion
+	// for a slot that was discarded (and perhaps reused) since its request
+	// was issued carries an older tag and is dropped.
+	tag uint64
 }
 
+// sqEntry is one committed store waiting for its dcache write. The entry
+// owns its request; done is the request's Done, bound once when the entry
+// is first created.
 type sqEntry struct {
-	done bool
-	req  *mem.Request
-	sent bool
+	req     mem.Request
+	sent    bool
+	written bool
+	done    func(uint64)
+}
+
+func (e *sqEntry) onDone(uint64) { e.written = true }
+
+// loadReq is one dcache load request. A squashed load's completion can
+// arrive after its in-flight record was recycled for a younger
+// instruction, so completions match the record by seq, never by pointer.
+// done and miss are the bound onDone/onMiss, set once at creation.
+type loadReq struct {
+	req  mem.Request
+	c    *Core
+	f    *inflight
+	seq  uint64
+	done func(uint64)
+	miss func(uint64)
+}
+
+// fetchReq is one icache request for a fetch slot, matched to the slot by
+// its per-allocation tag.
+type fetchReq struct {
+	req  mem.Request
+	c    *Core
+	slot *fetchSlot
+	tag  uint64
+	done func(uint64)
 }
 
 type switchReason uint8
@@ -181,12 +213,11 @@ type Core struct {
 	// skipSup caches the provider's SkipSupport view (nil when the
 	// provider does not implement it), so the per-cycle skip scan never
 	// repeats the type assertion.
-	skipSup  SkipSupport
-	dcache   mem.Device
-	icache   mem.Device // nil = fixed-latency fetch pipe
-	memory   *mem.Memory
-	threads  []*Thread
-	fetchGen uint64
+	skipSup SkipSupport
+	dcache  mem.Device
+	icache  mem.Device // nil = fixed-latency fetch pipe
+	memory  *mem.Memory
+	threads []*Thread
 
 	cur     int // running thread, -1 before first schedule
 	seq     uint64
@@ -199,6 +230,17 @@ type Core struct {
 	wb  *inflight
 
 	sq []*sqEntry
+
+	// Record pools. An in-flight record or fetch slot returns to its free
+	// list when it leaves the pipeline; a request record or store-queue
+	// entry when its access completes, or at once if Access rejects it.
+	// The lists grow lazily and never shrink.
+	freeInflight []*inflight
+	freeSlots    []*fetchSlot
+	freeSQ       []*sqEntry
+	freeLoads    []*loadReq
+	freeFetches  []*fetchReq
+	slotTag      uint64
 
 	pendingSwitch        switchReason
 	pendingAt            uint64
@@ -383,10 +425,9 @@ func (c *Core) commitStage() {
 			return
 		}
 		c.memory.Write(f.effAddr, in.MemBytes(), f.valRd)
-		//virec:alloc-ok one request per committed store, amortized by the dcache round-trip
-		req := &mem.Request{Addr: f.effAddr, Size: in.MemBytes(), Kind: mem.Write}
-		//virec:alloc-ok store-queue entry, one per committed store
-		c.sq = append(c.sq, &sqEntry{req: req})
+		e := c.newSQEntry()
+		e.req = mem.Request{Addr: f.effAddr, Size: in.MemBytes(), Kind: mem.Write, Done: e.done}
+		c.sq = append(c.sq, e)
 		c.Stats.Stores++
 		c.sqOccupancy.Observe(uint64(len(c.sq)))
 	}
@@ -447,12 +488,14 @@ func (c *Core) commitStage() {
 			telemetry.StageCommit, uint64(f.pc), f.seq)
 	}
 	c.wb = nil
+	c.freeInflight = append(c.freeInflight, f)
+	thread := f.thread
 
 	switch in.Op {
 	case isa.HALT:
 		th.Halted = true
 		c.halted++
-		c.provider.ThreadHalted(f.thread)
+		c.provider.ThreadHalted(thread)
 		c.flushPipeline(-1) // discard younger wrong-path instructions
 		if !c.Done() {
 			c.pendingSwitch = switchHalt
@@ -510,40 +553,47 @@ func (c *Core) memStage() {
 }
 
 func (c *Core) issueLoad(f *inflight) {
-	fl := f
-	//virec:alloc-ok one request + completion closures per load, amortized by the dcache round-trip
-	req := &mem.Request{
-		Addr: f.effAddr,
-		Size: f.in.MemBytes(),
-		Kind: mem.Read,
-		Done: func(cycle uint64) {
-			if fl.squashed {
-				return
-			}
-			fl.loadDone = true
-			fl.loadVal = isa.LoadExtend(fl.in.Op, c.memory.Read(fl.effAddr, fl.in.MemBytes()))
-		},
-		Miss: func(cycle uint64) {
-			if fl.squashed {
-				return
-			}
-			c.Stats.LoadMissSignals++
-			if c.tracer != nil {
-				c.tracer.Emit(cycle, telemetry.EvLoadMiss, c.traceCore,
-					int32(fl.thread), uint64(fl.effAddr), 0, 0)
-			}
-			if c.pendingSwitch == switchNone {
-				c.pendingSwitch = switchMiss
-				c.pendingAt = cycle
-			}
-		},
+	r := c.newLoadReq()
+	r.f, r.seq = f, f.seq
+	r.req = mem.Request{Addr: f.effAddr, Size: f.in.MemBytes(), Kind: mem.Read,
+		Done: r.done, Miss: r.miss}
+	if !c.dcache.Access(&r.req) {
+		c.releaseLoadReq(r)
+		return
 	}
-	if c.dcache.Access(req) {
-		f.loadIssued = true
-		c.Stats.Loads++
-		if c.cfg.Trace != nil {
-			c.cfg.Trace(c.cycle, fmt.Sprintf("t%d load issue pc=%d addr=%#x", f.thread, f.pc, f.effAddr))
-		}
+	f.loadIssued = true
+	c.Stats.Loads++
+	if c.cfg.Trace != nil {
+		c.cfg.Trace(c.cycle, fmt.Sprintf("t%d load issue pc=%d addr=%#x", f.thread, f.pc, f.effAddr))
+	}
+}
+
+// live reports whether the load's instruction still occupies its record:
+// not squashed, and the record not recycled for a younger instruction.
+func (r *loadReq) live() bool { return r.f.seq == r.seq && !r.f.squashed }
+
+func (r *loadReq) onDone(uint64) {
+	if r.live() {
+		f := r.f
+		f.loadDone = true
+		f.loadVal = isa.LoadExtend(f.in.Op, r.c.memory.Read(f.effAddr, f.in.MemBytes()))
+	}
+	r.c.releaseLoadReq(r)
+}
+
+func (r *loadReq) onMiss(cycle uint64) {
+	if !r.live() {
+		return
+	}
+	c := r.c
+	c.Stats.LoadMissSignals++
+	if c.tracer != nil {
+		c.tracer.Emit(cycle, telemetry.EvLoadMiss, c.traceCore,
+			int32(r.f.thread), uint64(r.f.effAddr), 0, 0)
+	}
+	if c.pendingSwitch == switchNone {
+		c.pendingSwitch = switchMiss
+		c.pendingAt = cycle
 	}
 }
 
@@ -582,7 +632,7 @@ func (c *Core) exStage() {
 				// redirect (and flush wrong-path work) for the rest.
 				if in.Op != isa.B && in.Op != isa.BL {
 					if c.dec != nil {
-						c.dec.squashed = true
+						c.squash(c.dec)
 						c.dec = nil
 					}
 					c.redirect(target)
@@ -623,8 +673,7 @@ func (c *Core) exStage() {
 // caller squashes any wrong-path decode latch itself: a branch redirecting
 // from decode must not squash itself.
 func (c *Core) redirect(target int) {
-	c.fetchGen++
-	c.fetchQ = c.fetchQ[:0]
+	c.clearFetchQ()
 	c.fetchPC = target
 }
 
@@ -698,12 +747,7 @@ func (c *Core) decodeStage() {
 	// already-gathered entries instead of building a set.
 	srcs := in.SrcRegs(c.scratchSrc[:0])
 	need := c.scratchNeed[:0]
-	type pending struct {
-		reg isa.Reg
-		val uint64
-		ok  bool
-	}
-	var got [4]pending
+	var got [4]operand
 	n := 0
 srcLoop:
 	for _, r := range srcs {
@@ -723,7 +767,7 @@ srcLoop:
 			c.Stats.DecodeFwdStalls++
 			return
 		}
-		got[n] = pending{reg: r, val: v, ok: found}
+		got[n] = operand{reg: r, val: v, ok: found}
 		n++
 		if !found {
 			need = append(need, r)
@@ -766,30 +810,19 @@ srcLoop:
 			}
 		}
 	}
-	//virec:alloc-ok golden-model helper closure, one per executed instruction; pinned by BenchmarkCoreTick
-	assign := func(r isa.Reg) uint64 {
-		if r == isa.XZR {
-			return 0
-		}
-		for i := 0; i < n; i++ {
-			if got[i].reg == r {
-				return got[i].val
-			}
-		}
-		return 0
-	}
+	ops := got[:n]
 	// Operand roles depend on the op; see isa.Inst.
 	switch {
 	case in.IsStore():
-		f.valRd = assign(in.Rd)
-		f.valRn = assign(in.Rn)
-		f.valRm = assign(in.Rm)
+		f.valRd = operandVal(ops, in.Rd)
+		f.valRn = operandVal(ops, in.Rn)
+		f.valRm = operandVal(ops, in.Rm)
 	case in.Op == isa.MOVK:
-		f.valRn = assign(in.Rd) // read-modify-write of Rd
+		f.valRn = operandVal(ops, in.Rd) // read-modify-write of Rd
 	default:
-		f.valRn = assign(in.Rn)
-		f.valRm = assign(in.Rm)
-		f.valRa = assign(in.Ra)
+		f.valRn = operandVal(ops, in.Rn)
+		f.valRm = operandVal(ops, in.Rm)
+		f.valRa = operandVal(ops, in.Ra)
 	}
 	f.flagsIn = flagsIn
 
@@ -807,6 +840,27 @@ srcLoop:
 	c.dec = nil
 }
 
+// operand is one distinct source register gathered at decode; ok is set
+// once val holds its value (forwarded or read from the provider).
+type operand struct {
+	reg isa.Reg
+	val uint64
+	ok  bool
+}
+
+// operandVal returns r's gathered value; XZR and unlisted registers read 0.
+func operandVal(ops []operand, r isa.Reg) uint64 {
+	if r == isa.XZR {
+		return 0
+	}
+	for i := range ops {
+		if ops[i].reg == r {
+			return ops[i].val
+		}
+	}
+	return 0
+}
+
 // ---- fetch ----
 
 func (c *Core) fetchStage() {
@@ -815,20 +869,18 @@ func (c *Core) fetchStage() {
 	}
 	// Move a ready slot into decode.
 	if c.dec == nil && len(c.fetchQ) > 0 && c.fetchReady(c.fetchQ[0]) {
-		slot := c.fetchQ[0]
-		c.fetchQ = c.fetchQ[1:]
-		th := c.threads[c.cur]
+		pc := c.fetchQ[0].pc
+		c.freeSlots = append(c.freeSlots, c.fetchQ[0])
+		n := copy(c.fetchQ, c.fetchQ[1:])
+		c.fetchQ[n] = nil
+		c.fetchQ = c.fetchQ[:n]
 		c.seq++
-		//virec:alloc-ok in-flight record, one per decoded instruction; pinned by BenchmarkCoreTick
-		c.dec = &inflight{
-			seq:    c.seq,
-			thread: c.cur,
-			pc:     slot.pc,
-			in:     th.Prog.At(slot.pc),
-		}
+		f := c.newInflight()
+		*f = inflight{seq: c.seq, thread: c.cur, pc: pc, in: c.threads[c.cur].Prog.At(pc)}
+		c.dec = f
 		if c.tracer != nil {
 			c.tracer.Emit(c.cycle, telemetry.EvStage, c.traceCore, int32(c.cur),
-				telemetry.StageDecode, uint64(slot.pc), c.seq)
+				telemetry.StageDecode, uint64(pc), c.seq)
 		}
 	}
 	// Issue icache requests for queued slots (one per cycle).
@@ -842,8 +894,9 @@ func (c *Core) fetchStage() {
 	}
 	// Enqueue the next fetch.
 	if len(c.fetchQ) < c.cfg.FetchBufSize {
-		//virec:alloc-ok fetch-buffer slot, one per fetched instruction; pinned by BenchmarkCoreTick
-		slot := &fetchSlot{pc: c.fetchPC, gen: c.fetchGen,
+		slot := c.newFetchSlot()
+		c.slotTag++
+		*slot = fetchSlot{pc: c.fetchPC, tag: c.slotTag,
 			readyAt: c.cycle + uint64(c.cfg.FetchLatency)}
 		if c.icache != nil {
 			c.issueFetch(slot)
@@ -867,24 +920,22 @@ func (c *Core) fetchReady(s *fetchSlot) bool {
 // issueFetch sends an instruction-fetch request to the icache. A rejected
 // request (port busy) retries on a later cycle.
 func (c *Core) issueFetch(s *fetchSlot) {
-	gen := c.fetchGen
-	slot := s
-	addr := c.threads[c.cur].ProgBase + mem.Addr(s.pc*isa.InstBytes)
-	//virec:alloc-ok one request + completion closure per icache fetch, amortized by the icache round-trip
-	req := &mem.Request{
-		Addr: addr,
-		Size: isa.InstBytes,
-		Kind: mem.Read,
-		Inst: true,
-		Done: func(uint64) {
-			if slot.gen == gen {
-				slot.ready = true
-			}
-		},
-	}
-	if c.icache.Access(req) {
+	r := c.newFetchReq()
+	r.slot, r.tag = s, s.tag
+	r.req = mem.Request{Addr: c.threads[c.cur].ProgBase + mem.Addr(s.pc*isa.InstBytes),
+		Size: isa.InstBytes, Kind: mem.Read, Inst: true, Done: r.done}
+	if c.icache.Access(&r.req) {
 		s.issued = true
+	} else {
+		c.releaseFetchReq(r)
 	}
+}
+
+func (r *fetchReq) onDone(uint64) {
+	if r.slot.tag == r.tag {
+		r.slot.ready = true
+	}
+	r.c.releaseFetchReq(r)
 }
 
 // ---- context switching logic ----
@@ -967,8 +1018,7 @@ func (c *Core) csl() {
 	c.provider.OnSwitch(prev, next)
 	c.cur = next
 	c.fetchPC = th.PC
-	c.fetchGen++
-	c.fetchQ = c.fetchQ[:0]
+	c.clearFetchQ()
 	if c.committedSinceSwitch {
 		c.zeroCommitSwitches = 0
 	} else {
@@ -1009,10 +1059,10 @@ func (c *Core) flushPipeline(thread int) {
 	// oldest squashed instruction of the thread.
 	for _, f := range [...]*inflight{c.wb, c.mm, c.ex, c.dec} {
 		if f != nil && !f.squashed {
-			f.squashed = true
 			if f.thread == thread && replayPC < 0 {
 				replayPC = f.pc
 			}
+			c.squash(f)
 		}
 	}
 	c.dec, c.ex, c.mm, c.wb = nil, nil, nil, nil
@@ -1026,7 +1076,7 @@ func (c *Core) flushPipeline(thread int) {
 			c.threads[thread].PC = c.fetchPC
 		}
 	}
-	c.fetchQ = c.fetchQ[:0]
+	c.clearFetchQ()
 }
 
 // liveThreads returns the number of unhalted threads.
@@ -1063,18 +1113,102 @@ func (c *Core) drainSQ() {
 	// prioritizes loads because the MEM stage runs earlier in the cycle.
 	for _, e := range c.sq {
 		if !e.sent {
-			ee := e
-			//virec:alloc-ok completion closure, one per drained store
-			e.req.Done = func(uint64) { ee.done = true }
-			if c.dcache.Access(e.req) {
+			if c.dcache.Access(&e.req) {
 				e.sent = true
 			}
 			break
 		}
 	}
-	for len(c.sq) > 0 && c.sq[0].done {
-		c.sq = c.sq[1:]
+	for len(c.sq) > 0 && c.sq[0].written {
+		c.freeSQ = append(c.freeSQ, c.sq[0])
+		n := copy(c.sq, c.sq[1:])
+		c.sq[n] = nil
+		c.sq = c.sq[:n]
 	}
+}
+
+// ---- record pools ----
+
+// squash marks a latched instruction squashed and returns its record to
+// the pool; an outstanding load completion for it is dropped by seq.
+func (c *Core) squash(f *inflight) {
+	f.squashed = true
+	c.freeInflight = append(c.freeInflight, f)
+}
+
+// clearFetchQ discards the fetch buffer. Completions still in flight for
+// the discarded slots are dropped by tag.
+func (c *Core) clearFetchQ() {
+	c.freeSlots = append(c.freeSlots, c.fetchQ...)
+	clear(c.fetchQ)
+	c.fetchQ = c.fetchQ[:0]
+}
+
+func (c *Core) newInflight() *inflight {
+	if n := len(c.freeInflight); n > 0 {
+		f := c.freeInflight[n-1]
+		c.freeInflight = c.freeInflight[:n-1]
+		return f
+	}
+	//virec:alloc-ok pool growth, bounded by the four pipeline latches
+	return &inflight{}
+}
+
+func (c *Core) newFetchSlot() *fetchSlot {
+	if n := len(c.freeSlots); n > 0 {
+		s := c.freeSlots[n-1]
+		c.freeSlots = c.freeSlots[:n-1]
+		return s
+	}
+	//virec:alloc-ok pool growth, bounded by the fetch buffer size
+	return &fetchSlot{}
+}
+
+func (c *Core) newSQEntry() *sqEntry {
+	if n := len(c.freeSQ); n > 0 {
+		e := c.freeSQ[n-1]
+		c.freeSQ = c.freeSQ[:n-1]
+		e.sent, e.written = false, false
+		return e
+	}
+	//virec:alloc-ok pool growth, bounded by the store queue size
+	e := &sqEntry{}
+	e.done = e.onDone
+	return e
+}
+
+func (c *Core) newLoadReq() *loadReq {
+	if n := len(c.freeLoads); n > 0 {
+		r := c.freeLoads[n-1]
+		c.freeLoads = c.freeLoads[:n-1]
+		return r
+	}
+	//virec:alloc-ok pool growth, bounded by the loads in flight
+	r := &loadReq{c: c}
+	r.done, r.miss = r.onDone, r.onMiss
+	return r
+}
+
+func (c *Core) releaseLoadReq(r *loadReq) {
+	r.f = nil
+	c.freeLoads = append(c.freeLoads, r)
+}
+
+func (c *Core) newFetchReq() *fetchReq {
+	if n := len(c.freeFetches); n > 0 {
+		r := c.freeFetches[n-1]
+		c.freeFetches = c.freeFetches[:n-1]
+		return r
+	}
+	//virec:alloc-ok pool growth, bounded by the icache fetches in flight
+	r := &fetchReq{c: c}
+	r.done = r.onDone
+	return r
+}
+
+func (c *Core) releaseFetchReq(r *fetchReq) {
+	r.slot = nil
+	c.freeFetches = append(c.freeFetches, r)
 }
 
 // ---- clock skip-ahead ----
@@ -1211,7 +1345,7 @@ func (c *Core) skipScan(now uint64) (cls skipClass, deadline uint64, ok bool) {
 			return cls, 0, false
 		}
 	}
-	if len(c.sq) > 0 && c.sq[0].done {
+	if len(c.sq) > 0 && c.sq[0].written {
 		return cls, 0, false
 	}
 	return cls, deadline, true
@@ -1476,6 +1610,41 @@ func (c *Core) CheckInvariants() string {
 	}
 	if c.cur < -1 || c.cur >= len(c.threads) {
 		return fmt.Sprintf("running thread %d out of range", c.cur)
+	}
+	return c.checkPools()
+}
+
+// checkPools verifies the record pools: no record sits in a free list
+// twice, and none is both free and in use (latched in a stage, queued in
+// the fetch buffer or in the store queue).
+func (c *Core) checkPools() string {
+	if msg := checkPool("in-flight record", c.freeInflight, c.dec, c.ex, c.mm, c.wb); msg != "" {
+		return msg
+	}
+	if msg := checkPool("fetch slot", c.freeSlots, c.fetchQ...); msg != "" {
+		return msg
+	}
+	if msg := checkPool("store-queue entry", c.freeSQ, c.sq...); msg != "" {
+		return msg
+	}
+	if msg := checkPool[loadReq]("load request", c.freeLoads); msg != "" {
+		return msg
+	}
+	return checkPool[fetchReq]("fetch request", c.freeFetches)
+}
+
+func checkPool[E any](what string, free []*E, inUse ...*E) string {
+	at := make(map[*E]int, len(free))
+	for i, r := range free {
+		if j, ok := at[r]; ok {
+			return fmt.Sprintf("%s is in its free list twice (entries %d and %d)", what, j, i)
+		}
+		at[r] = i
+	}
+	for _, r := range inUse {
+		if i, ok := at[r]; ok && r != nil {
+			return fmt.Sprintf("%s is in use and in its free list (entry %d)", what, i)
+		}
 	}
 	return ""
 }

@@ -94,10 +94,10 @@ func (p *Banked) ThreadStarted(thread int) {
 		rr := isa.Reg(r)
 		addr := p.layout.RegAddr(thread, rr)
 		p.loading[thread]++
-		p.bsi.pushLoad(&bsiOp{
+		p.bsi.pushLoad(bsiOp{
 			addr: addr,
 			kind: mem.Read,
-			onDone: func(uint64) {
+			onDone: func(*bsiOp) {
 				p.banks[thread][rr] = p.memory.Read64(addr)
 				p.loading[thread]--
 			},
@@ -105,10 +105,10 @@ func (p *Banked) ThreadStarted(thread int) {
 	}
 	p.loading[thread]++
 	sys := p.layout.SysRegAddr(thread)
-	p.bsi.pushLoad(&bsiOp{
+	p.bsi.pushLoad(bsiOp{
 		addr: sys,
 		kind: mem.Read,
-		onDone: func(uint64) {
+		onDone: func(*bsiOp) {
 			p.loading[thread]--
 		},
 	})

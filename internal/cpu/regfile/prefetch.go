@@ -120,8 +120,8 @@ func (p *Prefetch) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool {
 		p.OnDemandFills++
 		addr := p.layout.RegAddr(thread, r)
 		rr := r
-		p.bsi.pushLoad(&bsiOp{addr: addr, kind: mem.Read,
-			onDone: func(uint64) {
+		p.bsi.pushLoad(bsiOp{addr: addr, kind: mem.Read,
+			onDone: func(*bsiOp) {
 				if p.bankOf[b] == thread {
 					p.banks[b][rr] = p.memory.Read64(addr)
 					p.resident[b][rr] = true
@@ -205,8 +205,8 @@ func (p *Prefetch) recycleBank(b, thread int) {
 		rr := r
 		addr := p.layout.RegAddr(thread, rr)
 		p.loading[b]++
-		p.bsi.pushLoad(&bsiOp{addr: addr, kind: mem.Read,
-			onDone: func(uint64) {
+		p.bsi.pushLoad(bsiOp{addr: addr, kind: mem.Read,
+			onDone: func(*bsiOp) {
 				if p.bankOf[b] == thread {
 					p.banks[b][rr] = p.memory.Read64(addr)
 					p.resident[b][rr] = true
@@ -216,8 +216,8 @@ func (p *Prefetch) recycleBank(b, thread int) {
 	}
 	// System-register line travels with the context.
 	p.loading[b]++
-	p.bsi.pushLoad(&bsiOp{addr: p.layout.SysRegAddr(thread), kind: mem.Read,
-		onDone: func(uint64) { p.loading[b]-- }})
+	p.bsi.pushLoad(bsiOp{addr: p.layout.SysRegAddr(thread), kind: mem.Read,
+		onDone: func(*bsiOp) { p.loading[b]-- }})
 }
 
 // storeBank writes a thread's context back to the reserved region:
@@ -226,9 +226,9 @@ func (p *Prefetch) storeBank(b, thread int) {
 	for _, r := range p.contextOf(thread) {
 		addr := p.layout.RegAddr(thread, r)
 		p.memory.Write64(addr, p.banks[b][r])
-		p.bsi.pushStore(&bsiOp{addr: addr, kind: mem.Write})
+		p.bsi.pushStore(bsiOp{addr: addr, kind: mem.Write})
 	}
-	p.bsi.pushStore(&bsiOp{addr: p.layout.SysRegAddr(thread), kind: mem.Write})
+	p.bsi.pushStore(bsiOp{addr: p.layout.SysRegAddr(thread), kind: mem.Write})
 }
 
 // BlockSwitch never masks: switch readiness is in CanSwitchTo.

@@ -66,18 +66,53 @@ func (b *base) liveThreads() int {
 }
 
 // bsiOp is one register transaction queued at the backing store interface.
+// Ops are queued by value.
 type bsiOp struct {
 	addr   mem.Addr
 	kind   mem.Kind
 	noCrit bool // metadata-only (dummy-destination bookkeeping)
 	sticky bool // sticky-pin the line (system registers)
 	unpin  bool // release a sticky pin (thread halt)
-	onDone func(cycle uint64)
 
-	// Attribution for telemetry: which (thread, register) the transaction
-	// moves. thread is -1 for unattributed bookkeeping traffic.
+	// onDone, if set, runs when the transaction completes. Providers bind
+	// their completion methods once and let the op carry the operands; op
+	// is only valid for the duration of the call.
+	onDone func(op *bsiOp)
+
+	// The (thread, register) the transaction moves, for telemetry and for
+	// onDone. thread is -1 for unattributed bookkeeping traffic. slot is
+	// the provider's destination for a fill: a physical register, a
+	// system-register buffer slot or a bank register.
 	thread int32
 	reg    isa.Reg
+	slot   int32
+}
+
+// bsiReq is a pooled dcache request issued for one bsiOp. done is the
+// bound onDone, set once when the record is first created.
+type bsiReq struct {
+	req      mem.Request
+	b        *bsi
+	op       bsiOp
+	issuedAt uint64
+	fill     bool // a critical fill whose latency telemetry records
+	done     func(uint64)
+}
+
+func (r *bsiReq) onDone(cy uint64) {
+	b := r.b
+	b.outstanding--
+	if r.fill {
+		b.fillLat.Observe(cy - r.issuedAt)
+		if b.tracer != nil {
+			b.tracer.Emit(cy, telemetry.EvFillDone, b.traceCore, r.op.thread,
+				uint64(r.op.addr), cy-r.issuedAt, uint64(r.op.reg))
+		}
+	}
+	if r.op.onDone != nil {
+		r.op.onDone(&r.op)
+	}
+	b.free = append(b.free, r)
 }
 
 // bsi is the backing store interface: it issues register loads and stores
@@ -86,8 +121,9 @@ type bsiOp struct {
 // transaction; the non-blocking BSI pipelines them (Section 5.3).
 type bsi struct {
 	dcache      mem.Device
-	loads       []*bsiOp
-	stores      []*bsiOp
+	loads       []bsiOp
+	stores      []bsiOp
+	free        []*bsiReq // request pool, grown lazily
 	outstanding int
 	nonBlocking bool
 	perCycle    int
@@ -106,8 +142,8 @@ func newBSI(dcache mem.Device, nonBlocking bool) *bsi {
 	return &bsi{dcache: dcache, nonBlocking: nonBlocking, perCycle: 1}
 }
 
-func (b *bsi) pushLoad(op *bsiOp)  { b.loads = append(b.loads, op) }
-func (b *bsi) pushStore(op *bsiOp) { b.stores = append(b.stores, op) }
+func (b *bsi) pushLoad(op bsiOp)  { b.loads = append(b.loads, op) }
+func (b *bsi) pushStore(op bsiOp) { b.stores = append(b.stores, op) }
 
 // Outstanding reports queued plus in-flight transactions; the CSL masks
 // context switches while it is non-zero.
@@ -121,23 +157,26 @@ func (b *bsi) Outstanding() int {
 func (b *bsi) quiet() bool { return len(b.loads) == 0 && len(b.stores) == 0 }
 
 // Tick issues queued transactions to the dcache, loads first.
+//
+//virec:hotpath
 func (b *bsi) Tick(cycle uint64) {
 	issued := 0
 	for issued < b.perCycle {
 		if !b.nonBlocking && b.outstanding > 0 {
 			return
 		}
-		var op *bsiOp
-		var fromLoads bool
-		switch {
-		case len(b.loads) > 0:
-			op, fromLoads = b.loads[0], true
-		case len(b.stores) > 0:
-			op = b.stores[0]
-		default:
+		fromLoads := len(b.loads) > 0
+		if !fromLoads && len(b.stores) == 0 {
 			return
 		}
-		req := &mem.Request{
+		r := b.newReq()
+		if fromLoads {
+			r.op = b.loads[0]
+		} else {
+			r.op = b.stores[0]
+		}
+		op := &r.op
+		r.req = mem.Request{
 			Addr:         op.addr,
 			Size:         8,
 			Kind:         op.kind,
@@ -145,37 +184,24 @@ func (b *bsi) Tick(cycle uint64) {
 			NoCritical:   op.noCrit,
 			PinSticky:    op.sticky,
 			Unpin:        op.unpin,
+			Done:         r.done,
 		}
-		done := op.onDone
-		issuedAt := cycle
-		trackFill := fromLoads && !op.noCrit && (b.fillLat != nil || b.tracer != nil)
-		o := op
-		req.Done = func(cy uint64) {
-			b.outstanding--
-			if trackFill {
-				b.fillLat.Observe(cy - issuedAt)
-				if b.tracer != nil {
-					b.tracer.Emit(cy, telemetry.EvFillDone, b.traceCore, o.thread,
-						uint64(o.addr), cy-issuedAt, uint64(o.reg))
-				}
-			}
-			if done != nil {
-				done(cy)
-			}
-		}
-		if !b.dcache.Access(req) {
+		r.issuedAt = cycle
+		r.fill = fromLoads && !op.noCrit && (b.fillLat != nil || b.tracer != nil)
+		if !b.dcache.Access(&r.req) {
+			b.free = append(b.free, r)
 			return // dcache port busy (LSQ has priority); retry next cycle
 		}
 		b.outstanding++
 		if fromLoads {
-			b.loads = b.loads[1:]
+			b.loads = b.loads[:copy(b.loads, b.loads[1:])]
 			b.FillsIssued++
 			if b.tracer != nil {
 				b.tracer.Emit(cycle, telemetry.EvFill, b.traceCore, op.thread,
 					uint64(op.addr), uint64(op.reg), 0)
 			}
 		} else {
-			b.stores = b.stores[1:]
+			b.stores = b.stores[:copy(b.stores, b.stores[1:])]
 			b.SpillsIssued++
 			if b.tracer != nil {
 				b.tracer.Emit(cycle, telemetry.EvSpill, b.traceCore, op.thread,
@@ -184,4 +210,16 @@ func (b *bsi) Tick(cycle uint64) {
 		}
 		issued++
 	}
+}
+
+func (b *bsi) newReq() *bsiReq {
+	if n := len(b.free); n > 0 {
+		r := b.free[n-1]
+		b.free = b.free[:n-1]
+		return r
+	}
+	//virec:alloc-ok pool growth, bounded by the transactions in flight
+	r := &bsiReq{b: b}
+	r.done = r.onDone
+	return r
 }

@@ -296,10 +296,10 @@ func TestBSIPrioritizesLoads(t *testing.T) {
 	dev := mem.NewDelayDevice(5)
 	b := newBSI(dev, true)
 	var order []string
-	b.pushStore(&bsiOp{addr: regBase, kind: mem.Write,
-		onDone: func(uint64) { order = append(order, "store") }})
-	b.pushLoad(&bsiOp{addr: regBase + 8, kind: mem.Read,
-		onDone: func(uint64) { order = append(order, "load") }})
+	b.pushStore(bsiOp{addr: regBase, kind: mem.Write,
+		onDone: func(*bsiOp) { order = append(order, "store") }})
+	b.pushLoad(bsiOp{addr: regBase + 8, kind: mem.Read,
+		onDone: func(*bsiOp) { order = append(order, "load") }})
 	for cy := uint64(1); cy < 50; cy++ {
 		b.Tick(cy)
 		dev.Tick(cy)
@@ -314,8 +314,8 @@ func TestBlockingBSISerializes(t *testing.T) {
 	b := newBSI(dev, false) // blocking
 	done := 0
 	for i := 0; i < 3; i++ {
-		b.pushLoad(&bsiOp{addr: regBase + mem.Addr(8*i), kind: mem.Read,
-			onDone: func(uint64) { done++ }})
+		b.pushLoad(bsiOp{addr: regBase + mem.Addr(8*i), kind: mem.Read,
+			onDone: func(*bsiOp) { done++ }})
 	}
 	// After 15 cycles only the first transaction can have completed.
 	for cy := uint64(1); cy <= 15; cy++ {

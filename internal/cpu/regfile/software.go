@@ -22,18 +22,26 @@ type Software struct {
 	target    int  // thread being restored (-1 none)
 	reloading bool // recovering from an abandoned switch
 
+	// BSI completions, bound once: onSaved retires a save or a system-
+	// register load, onRestored installs a restored register.
+	onSaved    func(*bsiOp)
+	onRestored func(*bsiOp)
+
 	// Switches counts completed context switches (stats).
 	Switches uint64
 }
 
 // NewSoftware builds a software-switched provider.
 func NewSoftware(threads int, dcache mem.Device, memory *mem.Memory, layout cpu.RegLayout) *Software {
-	return &Software{
+	p := &Software{
 		base:   newBase(dcache, memory, layout, threads),
 		bsi:    newBSI(dcache, true), // software save/restore is serial
 		owner:  -1,
 		target: -1,
 	}
+	p.onSaved = p.savedDone
+	p.onRestored = p.restoredDone
+	return p
 }
 
 var _ cpu.Provider = (*Software)(nil)
@@ -131,13 +139,11 @@ func (p *Software) beginSwitch(next int) {
 			addr := p.layout.RegAddr(out, isa.Reg(r))
 			p.memory.Write64(addr, p.bank[r])
 			p.pending++
-			p.bsi.pushStore(&bsiOp{addr: addr, kind: mem.Write,
-				onDone: func(uint64) { p.pending-- }})
+			p.bsi.pushStore(bsiOp{addr: addr, kind: mem.Write, onDone: p.onSaved})
 		}
 		sys := p.layout.SysRegAddr(out)
 		p.pending++
-		p.bsi.pushStore(&bsiOp{addr: sys, kind: mem.Write,
-			onDone: func(uint64) { p.pending-- }})
+		p.bsi.pushStore(bsiOp{addr: sys, kind: mem.Write, onDone: p.onSaved})
 	}
 	p.restore(next)
 }
@@ -145,21 +151,22 @@ func (p *Software) beginSwitch(next int) {
 // restore loads thread's context from the reserved region into the bank.
 func (p *Software) restore(thread int) {
 	for r := 0; r < isa.NumRegs; r++ {
-		rr := isa.Reg(r)
-		addr := p.layout.RegAddr(thread, rr)
 		p.pending++
-		//virec:alloc-ok software save/restore issues one BSI op per register, amortized per context switch
-		p.bsi.pushLoad(&bsiOp{addr: addr, kind: mem.Read,
-			onDone: func(uint64) {
-				p.bank[rr] = p.memory.Read64(addr)
-				p.pending--
-			}})
+		p.bsi.pushLoad(bsiOp{addr: p.layout.RegAddr(thread, isa.Reg(r)), kind: mem.Read,
+			slot: int32(r), onDone: p.onRestored})
 	}
 	sys := p.layout.SysRegAddr(thread)
 	p.pending++
-	//virec:alloc-ok one BSI op per system-register block, amortized per context switch
-	p.bsi.pushLoad(&bsiOp{addr: sys, kind: mem.Read,
-		onDone: func(uint64) { p.pending-- }})
+	p.bsi.pushLoad(bsiOp{addr: sys, kind: mem.Read, onDone: p.onSaved})
+}
+
+// savedDone retires one save or system-register transaction.
+func (p *Software) savedDone(*bsiOp) { p.pending-- }
+
+// restoredDone installs a restored register into bank slot op.slot.
+func (p *Software) restoredDone(op *bsiOp) {
+	p.bank[op.slot] = p.memory.Read64(op.addr)
+	p.pending--
 }
 
 // BlockSwitch never masks; the save/restore cost is in CanSwitchTo.

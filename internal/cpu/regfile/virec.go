@@ -78,11 +78,11 @@ type ViReC struct {
 
 	// Oracle state for the Belady policy: per-thread occurrence lists of
 	// each register in the thread's recorded access sequence, a cursor
-	// counting committed accesses, and the registers of in-flight
-	// (decoded, uncommitted) instructions.
+	// counting committed accesses, and the number of register accesses of
+	// each in-flight (decoded, uncommitted) instruction.
 	oracleOcc    []map[isa.Reg][]uint32
 	oracleCursor []uint32
-	inflightRegs map[uint64][]isa.Reg
+	inflightRegs map[uint64]uint32
 
 	// hintPend holds the compiler-hint marks of decoded-but-uncommitted
 	// instructions, keyed by sequence number like inflightRegs. Marks are
@@ -108,8 +108,11 @@ type ViReC struct {
 	lockedInst   *isa.Inst
 	lockedThread int
 	// excluded is the victim-exclusion predicate handed to SelectVictim,
-	// built once so the decode hot path allocates nothing.
-	excluded func(int) bool
+	// built once so the decode hot path allocates nothing. onFill and
+	// onSysregs are the BSI completions, bound once for the same reason.
+	excluded  func(int) bool
+	onFill    func(*bsiOp)
+	onSysregs func(*bsiOp)
 
 	// sysBuf is the system-register ping-pong buffer of Section 5.2.
 	sysBuf [2]sysSlot
@@ -177,13 +180,15 @@ func NewViReC(cfg ViReCConfig, threads int, dcache mem.Device, memory *mem.Memor
 		lockedPhys:  make([]bool, cfg.PhysRegs),
 	}
 	p.excluded = func(i int) bool { return p.lockedPhys[i] || p.pendingPhys[i] }
+	p.onFill = p.fillDone
+	p.onSysregs = p.sysregsDone
 	p.sysBuf[0].thread = -1
 	p.sysBuf[1].thread = -1
 	p.prefetchRegs = make([][]isa.Reg, threads)
 	if cfg.Policy == vrmu.Belady {
 		p.oracleOcc = make([]map[isa.Reg][]uint32, threads)
 		p.oracleCursor = make([]uint32, threads)
-		p.inflightRegs = make(map[uint64][]isa.Reg)
+		p.inflightRegs = make(map[uint64]uint32)
 		tags.SetOracle(p.oracleDistance)
 	}
 	if cfg.Policy.HintAware() {
@@ -381,37 +386,34 @@ func (p *ViReC) spill(v vrmu.Victim) {
 		crit = false
 		p.HintSpillsElided++
 	}
-	//virec:alloc-ok one BSI op per spill, amortized by the backing-store write
-	p.bsi.pushStore(&bsiOp{addr: addr, kind: mem.Write, noCrit: !crit,
+	p.bsi.pushStore(bsiOp{addr: addr, kind: mem.Write, noCrit: !crit,
 		thread: int32(v.Thread), reg: v.Reg})
 }
 
 // startFill begins fetching (thread,reg) from the backing store into slot
-// phys.
-func (p *ViReC) startFill(thread int, r isa.Reg, phys int) {
-	key := regKey{thread, r}
-	p.pending[key] = phys
+// phys through BSI engine b.
+func (p *ViReC) startFill(b *bsi, thread int, r isa.Reg, phys int) {
+	p.pending[regKey{thread, r}] = phys
 	p.pendingPhys[phys] = true
-	addr := p.layout.RegAddr(thread, r)
-	//virec:alloc-ok one BSI op + completion closure per fill, amortized by the backing-store read
-	p.bsi.pushLoad(&bsiOp{
-		addr:   addr,
-		kind:   mem.Read,
-		thread: int32(thread),
-		reg:    r,
-		onDone: func(uint64) {
-			p.pendingPhys[phys] = false
-			if p.superseded[key] {
-				delete(p.superseded, key)
-				delete(p.pending, key)
-				return
-			}
-			if cur, ok := p.pending[key]; ok && cur == phys && p.tags.Contains(thread, r) {
-				p.tags.FillValue(phys, p.memory.Read64(addr))
-			}
-			delete(p.pending, key)
-		},
-	})
+	b.pushLoad(bsiOp{addr: p.layout.RegAddr(thread, r), kind: mem.Read,
+		thread: int32(thread), reg: r, slot: int32(phys), onDone: p.onFill})
+}
+
+// fillDone installs a landed fill, unless a commit superseded it or the
+// slot was reassigned meanwhile.
+func (p *ViReC) fillDone(op *bsiOp) {
+	phys := int(op.slot)
+	key := regKey{int(op.thread), op.reg}
+	p.pendingPhys[phys] = false
+	if p.superseded[key] {
+		delete(p.superseded, key)
+		delete(p.pending, key)
+		return
+	}
+	if cur, ok := p.pending[key]; ok && cur == phys && p.tags.Contains(key.thread, key.reg) {
+		p.tags.FillValue(phys, p.memory.Read64(op.addr))
+	}
+	delete(p.pending, key)
 }
 
 // Acquire implements the decode-side register access of Section 5.1: tag
@@ -474,7 +476,7 @@ func (p *ViReC) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool {
 		if phys < 0 {
 			continue // every slot locked/pending; retry next cycle
 		}
-		p.startFill(thread, r, phys)
+		p.startFill(p.bsi, thread, r, phys)
 	}
 
 	var dstBuf [2]isa.Reg
@@ -507,7 +509,7 @@ func (p *ViReC) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool {
 			continue
 		}
 		if p.cfg.NoDummyDest {
-			p.startFill(thread, d, phys)
+			p.startFill(p.bsi, thread, d, phys)
 			ready = false
 		} else {
 			// Dummy-value optimization: the old value is not needed. A
@@ -515,8 +517,7 @@ func (p *ViReC) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool {
 			// bookkeeping correct without stalling decode.
 			p.tags.FillDummy(phys)
 			p.DummyDests++
-			//virec:alloc-ok one metadata-only BSI op per dummy destination, amortized by the backing-store read
-			p.bsi.pushLoad(&bsiOp{
+			p.bsi.pushLoad(bsiOp{
 				addr:   p.layout.RegAddr(thread, d),
 				kind:   mem.Read,
 				noCrit: true,
@@ -570,13 +571,11 @@ func (p *ViReC) WriteValue(thread int, r isa.Reg, v uint64) {
 			// value straight to the backing store.
 			addr := p.layout.RegAddr(thread, r)
 			p.memory.Write64(addr, v)
-			//virec:alloc-ok pathological fallback (every slot locked), one BSI op per direct spill
-			p.bsi.pushStore(&bsiOp{addr: addr, kind: mem.Write, thread: int32(thread), reg: r})
+			p.bsi.pushStore(bsiOp{addr: addr, kind: mem.Write, thread: int32(thread), reg: r})
 			return
 		}
 		p.CommitReallocs++
-		//virec:alloc-ok one BSI op per commit-side reallocation, amortized by the backing-store read
-		p.bsi.pushLoad(&bsiOp{addr: p.layout.RegAddr(thread, r), kind: mem.Read, noCrit: true,
+		p.bsi.pushLoad(bsiOp{addr: p.layout.RegAddr(thread, r), kind: mem.Read, noCrit: true,
 			thread: int32(thread), reg: r})
 	}
 	p.tags.Touch(phys)
@@ -612,14 +611,13 @@ func (p *ViReC) InstDecoded(thread int, seq uint64, in *isa.Inst) {
 	}
 	p.rq.Push(seq, phys, in.IsMem())
 	if p.inflightRegs != nil {
-		var regs []isa.Reg
-		var buf [6]isa.Reg
-		for _, r := range in.Regs(buf[:0]) {
+		var n uint32
+		for _, r := range in.Regs(regs[:0]) {
 			if r != isa.XZR {
-				regs = append(regs, r)
+				n++
 			}
 		}
-		p.inflightRegs[seq] = regs
+		p.inflightRegs[seq] = n
 	}
 	if p.hintPend != nil && in.Hints != 0 {
 		hm := hintMark{thread: thread, remat: isa.XZR}
@@ -671,7 +669,7 @@ func (p *ViReC) applyHintMark(hm hintMark) {
 func (p *ViReC) InstCommitted(thread int, seq uint64) {
 	p.rq.Commit(seq)
 	if p.inflightRegs != nil {
-		p.oracleCursor[thread] += uint32(len(p.inflightRegs[seq]))
+		p.oracleCursor[thread] += p.inflightRegs[seq]
 		delete(p.inflightRegs, seq)
 	}
 	if p.hintPend != nil {
@@ -716,18 +714,23 @@ func (p *ViReC) sysSlotOf(thread int) int {
 // loadSysregs begins fetching a thread's system-register line into slot i.
 func (p *ViReC) loadSysregs(i, thread int) {
 	p.sysBuf[i] = sysSlot{thread: thread, loading: true}
-	p.sysBsi.pushLoad(&bsiOp{
+	p.sysBsi.pushLoad(bsiOp{
 		addr:   p.layout.SysRegAddr(thread),
 		kind:   mem.Read,
 		sticky: true,
 		thread: int32(thread),
-		onDone: func(uint64) {
-			if p.sysBuf[i].thread == thread {
-				p.sysBuf[i].ready = true
-				p.sysBuf[i].loading = false
-			}
-		},
+		slot:   int32(i),
+		onDone: p.onSysregs,
 	})
+}
+
+// sysregsDone marks a ping-pong slot ready, unless it was reassigned to
+// another thread while the load was in flight.
+func (p *ViReC) sysregsDone(op *bsiOp) {
+	if s := &p.sysBuf[op.slot]; s.thread == int(op.thread) {
+		s.ready = true
+		s.loading = false
+	}
 }
 
 // CanSwitchTo requires the next thread's system registers to be resident
@@ -743,7 +746,7 @@ func (p *ViReC) CanSwitchTo(next int) bool {
 		victim = 1
 	}
 	if old := p.sysBuf[victim]; old.thread >= 0 && old.ready {
-		p.sysBsi.pushStore(&bsiOp{addr: p.layout.SysRegAddr(old.thread), kind: mem.Write,
+		p.sysBsi.pushStore(bsiOp{addr: p.layout.SysRegAddr(old.thread), kind: mem.Write,
 			noCrit: true, thread: int32(old.thread)})
 	}
 	p.loadSysregs(victim, next)
@@ -828,7 +831,7 @@ func (p *ViReC) OnSwitch(prev, next int) {
 		victim = 1
 	}
 	if old := p.sysBuf[victim]; old.thread >= 0 && old.thread != next && old.ready {
-		p.sysBsi.pushStore(&bsiOp{addr: p.layout.SysRegAddr(old.thread), kind: mem.Write,
+		p.sysBsi.pushStore(bsiOp{addr: p.layout.SysRegAddr(old.thread), kind: mem.Write,
 			noCrit: true, thread: int32(old.thread)})
 	}
 	p.loadSysregs(victim, succ)
@@ -863,28 +866,8 @@ func (p *ViReC) prefetchThread(thread int) {
 		if evicted {
 			p.spill(victim)
 		}
-		p.pending[key] = phys
-		p.pendingPhys[phys] = true
-		addr := p.layout.RegAddr(thread, r)
 		p.Prefetches++
-		p.pfBsi.pushLoad(&bsiOp{
-			addr:   addr,
-			kind:   mem.Read,
-			thread: int32(thread),
-			reg:    r,
-			onDone: func(uint64) {
-				p.pendingPhys[phys] = false
-				if p.superseded[key] {
-					delete(p.superseded, key)
-					delete(p.pending, key)
-					return
-				}
-				if cur, ok := p.pending[key]; ok && cur == phys && p.tags.Contains(thread, r) {
-					p.tags.FillValue(phys, p.memory.Read64(addr))
-				}
-				delete(p.pending, key)
-			},
-		})
+		p.startFill(p.pfBsi, thread, r, phys)
 	}
 }
 
@@ -902,7 +885,7 @@ func (p *ViReC) ThreadHalted(thread int) {
 			_ = phys
 		}
 		if p.tags.Contains(thread, r) {
-			p.bsi.pushStore(&bsiOp{addr: p.layout.RegAddr(thread, r), kind: mem.Write,
+			p.bsi.pushStore(bsiOp{addr: p.layout.RegAddr(thread, r), kind: mem.Write,
 				noCrit: true, thread: int32(thread), reg: r})
 		}
 	}
@@ -911,7 +894,7 @@ func (p *ViReC) ThreadHalted(thread int) {
 		p.sysBuf[i] = sysSlot{thread: -1}
 	}
 	// Release the sticky pin on the dead thread's system-register line.
-	p.sysBsi.pushStore(&bsiOp{addr: p.layout.SysRegAddr(thread), kind: mem.Write,
+	p.sysBsi.pushStore(bsiOp{addr: p.layout.SysRegAddr(thread), kind: mem.Write,
 		noCrit: true, unpin: true, thread: int32(thread)})
 }
 

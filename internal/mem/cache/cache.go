@@ -71,12 +71,19 @@ type line struct {
 	lastUse uint64
 }
 
+// mshr tracks one outstanding line fill. MSHRs are pooled per cache: the
+// record owns its fill request, whose Done (fillDone) is bound once when
+// the record is first created, and returns to the pool once the fill has
+// landed.
 type mshr struct {
+	c           *Cache
 	lineAddr    mem.Addr
 	set         int
 	issued      bool
 	waiting     []*mem.Request
 	dirtyOnFill bool // a merged write marks the line dirty when it lands
+	fill        mem.Request
+	done        func(uint64)
 }
 
 type hitEvent struct {
@@ -145,6 +152,7 @@ type Cache struct {
 	sets    [][]line
 	numSets int
 	mshrs   map[mem.Addr]*mshr
+	free    []*mshr // MSHR pool, grown lazily
 	below   mem.Device
 
 	pendingHits hitHeap
@@ -218,6 +226,8 @@ func (c *Cache) inRegRegion(a mem.Addr) bool {
 // Access presents a request to the cache. It returns false if the port is
 // saturated this cycle, no MSHR is free for a miss, or every way in the
 // target set is pinned or filling.
+//
+//virec:hotpath
 func (c *Cache) Access(r *mem.Request) bool {
 	if c.acceptedNow >= c.cfg.Ports {
 		c.Stats.PortRejects++
@@ -270,10 +280,10 @@ func (c *Cache) Access(r *mem.Request) bool {
 	c.Stats.Misses++
 	c.signalMiss(r)
 
-	m := &mshr{lineAddr: la, set: set, waiting: []*mem.Request{r}}
-	if r.Kind == mem.Write {
-		m.dirtyOnFill = true
-	}
+	m := c.newMSHR()
+	m.lineAddr, m.set, m.issued = la, set, false
+	m.waiting = append(m.waiting[:0], r)
+	m.dirtyOnFill = r.Kind == mem.Write
 	c.mshrs[la] = m
 	c.issueFill(m)
 	if !m.issued {
@@ -386,28 +396,41 @@ func (c *Cache) lineAddrOf(set int, tag uint64) mem.Addr {
 	return mem.Addr((tag*uint64(c.numSets) + uint64(set)) * mem.LineBytes)
 }
 
+func (c *Cache) newMSHR() *mshr {
+	if n := len(c.free); n > 0 {
+		m := c.free[n-1]
+		c.free = c.free[:n-1]
+		return m
+	}
+	//virec:alloc-ok pool growth, bounded by the MSHR count
+	m := &mshr{c: c}
+	m.done = m.fillDone
+	return m
+}
+
 func (c *Cache) issueFill(m *mshr) {
 	if m.issued {
 		return
 	}
-	fill := &mem.Request{
+	m.fill = mem.Request{
 		Addr: m.lineAddr,
 		Size: mem.LineBytes,
 		Kind: mem.Read,
-		Done: func(cycle uint64) { c.fillDone(m, cycle) },
+		Done: m.done,
 	}
 	// Preserve routing hints from the first waiter so lower levels can
 	// classify traffic.
 	if len(m.waiting) > 0 {
-		fill.Inst = m.waiting[0].Inst
-		fill.RegisterFill = m.waiting[0].RegisterFill
+		m.fill.Inst = m.waiting[0].Inst
+		m.fill.RegisterFill = m.waiting[0].RegisterFill
 	}
-	if c.below.Access(fill) {
+	if c.below.Access(&m.fill) {
 		m.issued = true
 	}
 }
 
-func (c *Cache) fillDone(m *mshr, cycle uint64) {
+func (m *mshr) fillDone(cycle uint64) {
+	c := m.c
 	c.Stats.Fills++
 	way := c.victim(m.set)
 	// victim always finds a way: invalid first, then LRU unpinned, then a
@@ -438,10 +461,14 @@ func (c *Cache) fillDone(m *mshr, cycle uint64) {
 		r.Complete(cycle)
 	}
 	delete(c.mshrs, m.lineAddr)
+	clear(m.waiting)
+	c.free = append(c.free, m)
 }
 
 // Tick retires due hits, retries unissued fills and drains the writeback
 // queue. It must be called once per cycle before the lower level's Tick.
+//
+//virec:hotpath
 func (c *Cache) Tick(cycle uint64) {
 	c.now = cycle
 	c.acceptedNow = 0
@@ -465,7 +492,9 @@ func (c *Cache) Tick(cycle uint64) {
 		if !c.below.Access(c.writebackQ[0]) {
 			break
 		}
-		c.writebackQ = c.writebackQ[1:]
+		n := copy(c.writebackQ, c.writebackQ[1:])
+		c.writebackQ[n] = nil
+		c.writebackQ = c.writebackQ[:n]
 	}
 }
 

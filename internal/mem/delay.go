@@ -78,6 +78,8 @@ func (h *delayHeap) pop() delayEvent {
 }
 
 // Access always accepts.
+//
+//virec:hotpath
 func (d *DelayDevice) Access(r *Request) bool {
 	d.seq++
 	d.pending.push(delayEvent{cycle: d.now + d.Latency, seq: d.seq, req: r})
@@ -85,6 +87,8 @@ func (d *DelayDevice) Access(r *Request) bool {
 }
 
 // Tick completes due requests.
+//
+//virec:hotpath
 func (d *DelayDevice) Tick(cycle uint64) {
 	d.now = cycle
 	for len(d.pending) > 0 && d.pending[0].cycle <= cycle {

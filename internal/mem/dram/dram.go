@@ -90,7 +90,7 @@ type bank struct {
 }
 
 type channel struct {
-	queue   []*entry
+	queue   []entry
 	banks   []bank
 	busFree uint64 // first cycle the data bus is free
 	// acts holds the last four activate times (tFAW sliding window),
@@ -245,6 +245,8 @@ func (d *DRAM) route(a mem.Addr) (ch, bk int, row int64) {
 
 // Access enqueues a request. It returns false when the channel queue is
 // full; the caller must retry.
+//
+//virec:hotpath
 func (d *DRAM) Access(r *mem.Request) bool {
 	ch, _, _ := d.route(r.Addr)
 	c := &d.channels[ch]
@@ -252,7 +254,7 @@ func (d *DRAM) Access(r *mem.Request) bool {
 		d.Stats.Rejected++
 		return false
 	}
-	c.queue = append(c.queue, &entry{req: r, arrived: d.now})
+	c.queue = append(c.queue, entry{req: r, arrived: d.now})
 	return true
 }
 
@@ -260,6 +262,8 @@ func (d *DRAM) Access(r *mem.Request) bool {
 // and issues at most one request per channel using FCFS with bank-bypass
 // (the first queued request whose bank and bus are available goes next,
 // which exposes bank-level parallelism without full FR-FCFS reordering).
+//
+//virec:hotpath
 func (d *DRAM) Tick(cycle uint64) {
 	d.now = cycle
 	for len(d.pending) > 0 && d.pending[0].cycle <= cycle {
@@ -281,7 +285,7 @@ func (d *DRAM) issueOne(ci int, cycle uint64) {
 		window = d.cfg.WindowSize
 	}
 	for qi := 0; qi < window; qi++ {
-		e := c.queue[qi]
+		e := &c.queue[qi]
 		_, bk, row := d.route(e.req.Addr)
 		b := &c.banks[bk]
 		if b.busyUntil > cycle || c.busFree > cycle {
@@ -339,7 +343,9 @@ func (d *DRAM) issueOne(ci int, cycle uint64) {
 			read:  read,
 			start: e.arrived,
 		})
-		c.queue = append(c.queue[:qi], c.queue[qi+1:]...)
+		n := qi + copy(c.queue[qi:], c.queue[qi+1:])
+		c.queue[n] = entry{}
+		c.queue = c.queue[:n]
 		return
 	}
 }
@@ -363,7 +369,7 @@ func (d *DRAM) NextEvent(now, horizon uint64) uint64 {
 			window = d.cfg.WindowSize
 		}
 		for qi := 0; qi < window; qi++ {
-			e := c.queue[qi]
+			e := &c.queue[qi]
 			_, bk, row := d.route(e.req.Addr)
 			b := &c.banks[bk]
 			ready := max(b.busyUntil, c.busFree)

@@ -32,6 +32,14 @@ const (
 )
 
 // Request is one memory transaction flowing through the timing models.
+//
+// Lifetime: the requester owns the request and may recycle it. A device
+// may keep the pointer from an accepted Access until it calls Complete,
+// and must not touch the request after that. The owner may reuse the
+// request once Done has fired, or at once if Access returned false. The
+// simulator's requesters keep pools of request records and bind each
+// record's Done and Miss callbacks once, when the record is created, so
+// the transaction path allocates nothing.
 type Request struct {
 	Addr Addr
 	Size int
@@ -143,6 +151,16 @@ func (m *Memory) SetByte(a Addr, v byte) {
 // size must be 1, 2, 4 or 8. Accesses may cross page boundaries.
 func (m *Memory) Read(a Addr, size int) uint64 {
 	var v uint64
+	if off := int(a % pageBytes); off+size <= pageBytes {
+		p := m.page(a, false)
+		if p == nil {
+			return 0
+		}
+		for i, b := range p.data[off : off+size] {
+			v |= uint64(b) << (8 * uint(i))
+		}
+		return v
+	}
 	for i := 0; i < size; i++ {
 		v |= uint64(m.ByteAt(a+Addr(i))) << (8 * uint(i))
 	}
@@ -151,6 +169,13 @@ func (m *Memory) Read(a Addr, size int) uint64 {
 
 // Write stores the low size bytes of v little-endian at address a.
 func (m *Memory) Write(a Addr, size int, v uint64) {
+	if off := int(a % pageBytes); off+size <= pageBytes {
+		b := m.page(a, true).data[off : off+size]
+		for i := range b {
+			b[i] = byte(v >> (8 * uint(i)))
+		}
+		return
+	}
 	for i := 0; i < size; i++ {
 		m.SetByte(a+Addr(i), byte(v>>(8*uint(i))))
 	}

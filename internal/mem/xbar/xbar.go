@@ -6,8 +6,6 @@
 package xbar
 
 import (
-	"container/heap"
-
 	"github.com/virec/virec/internal/mem"
 	"github.com/virec/virec/internal/telemetry"
 )
@@ -41,29 +39,86 @@ func (x *Xbar) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Gauge(prefix+"/max_queue", func() float64 { return float64(s.MaxQueue) })
 }
 
+// event is one traversal in flight: a request toward the controller
+// (req) or a response on its way back to the requester (done, the
+// original request's completion).
 type event struct {
 	cycle uint64
 	seq   uint64
 	req   *mem.Request
+	done  func(uint64)
 }
 
+// eventHeap is a hand-rolled min-heap ordered by (cycle, seq), like the
+// cache's and DRAM's: container/heap would box every push and pop.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].cycle != h[j].cycle {
 		return h[i].cycle < h[j].cycle
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+//virec:hotpath
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+//virec:hotpath
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = event{} // drop the references for the GC
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && s.less(l, smallest) {
+			smallest = l
+		}
+		if r < n && s.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		s[i], s[smallest] = s[smallest], s[i]
+		i = smallest
+	}
+	return top
+}
+
+// fwdReq is the pooled copy of a request forwarded to the controller. Its
+// Done (onDone, bound once when the record is first created) queues the
+// original completion on the response path.
+type fwdReq struct {
+	req  mem.Request
+	x    *Xbar
+	orig func(uint64)
+	done func(uint64)
+}
+
+func (f *fwdReq) onDone(c uint64) {
+	x := f.x
+	if f.orig != nil {
+		x.seq++
+		x.respQ.push(event{cycle: c + uint64(x.cfg.Latency), seq: x.seq, done: f.orig})
+	}
+	f.orig = nil
+	x.free = append(x.free, f)
 }
 
 // Xbar forwards requests to a lower-level device after its traversal
@@ -75,6 +130,7 @@ type Xbar struct {
 	inQ   eventHeap      // requests in flight toward the controller
 	respQ eventHeap      // responses in flight back to the cores
 	ready []*mem.Request // arrived, awaiting forwarding bandwidth
+	free  []*fwdReq      // forwarded-copy pool, grown lazily
 	seq   uint64
 	now   uint64
 
@@ -99,13 +155,15 @@ func New(cfg Config, below mem.Device) *Xbar {
 
 // Access accepts a request for traversal. Returns false under
 // back-pressure (full queue).
+//
+//virec:hotpath
 func (x *Xbar) Access(r *mem.Request) bool {
 	if len(x.inQ)+len(x.ready) >= x.cfg.QueueDepth {
 		x.Stats.Rejected++
 		return false
 	}
 	x.seq++
-	heap.Push(&x.inQ, event{cycle: x.now + uint64(x.cfg.Latency), seq: x.seq, req: r})
+	x.inQ.push(event{cycle: x.now + uint64(x.cfg.Latency), seq: x.seq, req: r})
 	if q := len(x.inQ) + len(x.ready); q > x.Stats.MaxQueue {
 		x.Stats.MaxQueue = q
 	}
@@ -114,36 +172,47 @@ func (x *Xbar) Access(r *mem.Request) bool {
 
 // Tick moves arrived requests to the controller (bounded per cycle) and
 // delivers delayed responses.
+//
+//virec:hotpath
 func (x *Xbar) Tick(cycle uint64) {
 	x.now = cycle
 	for len(x.respQ) > 0 && x.respQ[0].cycle <= cycle {
-		ev := heap.Pop(&x.respQ).(event)
-		ev.req.Complete(ev.cycle)
+		ev := x.respQ.pop()
+		ev.done(ev.cycle)
 	}
 	for len(x.inQ) > 0 && x.inQ[0].cycle <= cycle {
-		ev := heap.Pop(&x.inQ).(event)
+		ev := x.inQ.pop()
 		x.ready = append(x.ready, ev.req)
 	}
 	forwarded := 0
 	for len(x.ready) > 0 && forwarded < x.cfg.PerCycle {
 		r := x.ready[0]
-		wrapped := *r
-		orig := r.Done
-		wrapped.Done = func(c uint64) {
-			if orig == nil {
-				return
-			}
-			x.seq++
-			heap.Push(&x.respQ, event{cycle: c + uint64(x.cfg.Latency), seq: x.seq,
-				req: &mem.Request{Done: orig}})
-		}
-		if !x.below.Access(&wrapped) {
+		f := x.newFwd()
+		f.req, f.orig = *r, r.Done
+		f.req.Done = f.done
+		if !x.below.Access(&f.req) {
+			f.orig = nil
+			x.free = append(x.free, f)
 			break
 		}
-		x.ready = x.ready[1:]
+		n := copy(x.ready, x.ready[1:])
+		x.ready[n] = nil
+		x.ready = x.ready[:n]
 		forwarded++
 		x.Stats.Forwarded++
 	}
+}
+
+func (x *Xbar) newFwd() *fwdReq {
+	if n := len(x.free); n > 0 {
+		f := x.free[n-1]
+		x.free = x.free[:n-1]
+		return f
+	}
+	//virec:alloc-ok pool growth, bounded by the requests in flight below
+	f := &fwdReq{x: x}
+	f.done = f.onDone
+	return f
 }
 
 // NextEvent returns the earliest cycle in (now, horizon] at which Tick
