@@ -187,8 +187,8 @@ func verifyHints(w io.Writer, maxInsts uint64) int {
 			status = fmt.Sprintf("%d UNSOUND hint(s)", len(viol))
 			bad++
 		}
-		fmt.Fprintf(w, "%-16s %8d insts traced  %2d/%2d hinted (%d dead, %d remat, %d cold)  %s\n",
-			wl.Name, res.Insts, h.Hinted, wl.Prog.Len(), h.Dead, h.Remat, h.Cold, status)
+		fmt.Fprintf(w, "%-16s %8d insts traced  %2d/%2d hinted (%d dead, %d remat)  %s\n",
+			wl.Name, res.Insts, h.Hinted, wl.Prog.Len(), h.Dead, h.Remat, status)
 		for _, f := range viol {
 			fmt.Fprintf(w, "  %s\n", f)
 		}

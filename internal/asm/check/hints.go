@@ -22,11 +22,10 @@ const UnsoundHint = "unsound-hint"
 type Hints struct {
 	Name    string
 	PerInst []isa.Hint // synthesized flags, one per instruction
-	Depth   []int      // loop-nesting depth per instruction (backward-edge intervals)
 
-	// Dead counts dead-field flags, Remat and Cold instructions carrying
-	// those flags; Hinted counts instructions with any hint at all.
-	Dead, Remat, Cold, Hinted int
+	// Dead and Remat count instructions carrying dead-field flags and the
+	// remat flag; Hinted counts instructions with any hint at all.
+	Dead, Remat, Hinted int
 }
 
 // Synthesize runs the hint synthesis pass over prog and returns the report
@@ -40,17 +39,11 @@ type Hints struct {
 //     returns; unreachable instructions get no hints.
 //   - remat: MOVZ fully determines its destination from the immediate, so
 //     a clean copy in memory is never worth writing back.
-//   - cold: loop depth is the number of enclosing backward-edge intervals
-//     (exact for the reducible CFGs the assembler and kernel generator
-//     produce). A register is cold when no instruction touching it sits in
-//     a loop; an instruction is flagged cold when it is outside all loops
-//     and touches only cold registers.
 func Synthesize(prog *asm.Program) *Hints {
 	n := prog.Len()
 	h := &Hints{
 		Name:    prog.Name,
 		PerInst: make([]isa.Hint, n),
-		Depth:   make([]int, n),
 	}
 	if n == 0 {
 		return h
@@ -59,41 +52,6 @@ func Synthesize(prog *asm.Program) *Hints {
 	reachable := reach(succs, n)
 
 	liveOut := hintLiveness(prog, succs, reachable)
-
-	// Loop depth by backward-edge intervals: an edge j -> t with t <= j
-	// encloses instructions [t, j].
-	for j := 0; j < n; j++ {
-		if !reachable[j] {
-			continue
-		}
-		for _, t := range succs[j] {
-			if t <= j {
-				for i := t; i <= j; i++ {
-					h.Depth[i]++
-				}
-			}
-		}
-	}
-
-	// Cold registers: touched somewhere, never inside a loop.
-	var usedRegs, loopRegs regMask
-	var scratch []isa.Reg
-	for i := 0; i < n; i++ {
-		if !reachable[i] {
-			continue
-		}
-		scratch = prog.Insts[i].Regs(scratch[:0])
-		for _, r := range scratch {
-			if r == isa.XZR {
-				continue
-			}
-			usedRegs.add(r)
-			if h.Depth[i] > 0 {
-				loopRegs.add(r)
-			}
-		}
-	}
-	coldRegs := usedRegs &^ loopRegs
 
 	for i := 0; i < n; i++ {
 		if !reachable[i] {
@@ -112,23 +70,6 @@ func Synthesize(prog *asm.Program) *Hints {
 		if in.Op == isa.MOVZ {
 			flags |= isa.HintRemat
 		}
-		if h.Depth[i] == 0 {
-			scratch = in.Regs(scratch[:0])
-			cold := false
-			for _, r := range scratch {
-				if r == isa.XZR {
-					continue
-				}
-				if !coldRegs.has(r) {
-					cold = false
-					break
-				}
-				cold = true
-			}
-			if cold {
-				flags |= isa.HintCold
-			}
-		}
 		h.PerInst[i] = flags
 		if flags != 0 {
 			h.Hinted++
@@ -138,9 +79,6 @@ func Synthesize(prog *asm.Program) *Hints {
 		}
 		if flags&isa.HintRemat != 0 {
 			h.Remat++
-		}
-		if flags&isa.HintCold != 0 {
-			h.Cold++
 		}
 	}
 	return h
@@ -200,14 +138,18 @@ func hintLiveness(prog *asm.Program, succs [][]int, reachable []bool) []regMask 
 }
 
 // Annotate renders the program listing with one line per instruction,
-// carrying its loop depth and synthesized hints — the stable text behind
+// carrying its synthesized hints — the stable text behind
 // virec-asm -hints and its golden file, so hint churn shows up in diffs.
 func (h *Hints) Annotate(prog *asm.Program) string {
 	var b strings.Builder
 	for i := range prog.Insts {
 		in := prog.Insts[i]
-		fmt.Fprintf(&b, "%4d  %-36s ; depth=%d", i, in.String(), h.Depth[i])
 		flags := h.PerInst[i]
+		if flags == 0 {
+			fmt.Fprintf(&b, "%4d  %s\n", i, in.String())
+			continue
+		}
+		fmt.Fprintf(&b, "%4d  %-36s ;", i, in.String())
 		if flags&isa.HintDeadAny != 0 {
 			in.Hints = flags
 			var buf [4]isa.Reg
@@ -229,13 +171,10 @@ func (h *Hints) Annotate(prog *asm.Program) string {
 		if flags&isa.HintRemat != 0 {
 			b.WriteString(" remat")
 		}
-		if flags&isa.HintCold != 0 {
-			b.WriteString(" cold")
-		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "      %d/%d hinted: %d dead, %d remat, %d cold\n",
-		h.Hinted, prog.Len(), h.Dead, h.Remat, h.Cold)
+	fmt.Fprintf(&b, "      %d/%d hinted: %d dead, %d remat\n",
+		h.Hinted, prog.Len(), h.Dead, h.Remat)
 	return b.String()
 }
 

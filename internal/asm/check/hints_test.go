@@ -18,13 +18,13 @@ func TestHintsDeadAfterUse(t *testing.T) {
 	h := check.Synthesize(p)
 	// x1 and x2 die at the add; x3 is never read, so the destination is
 	// dead too (the general dummy-destination case).
-	if got := h.PerInst[2]; got != isa.HintDeadRd|isa.HintDeadRn|isa.HintDeadRm|isa.HintCold {
+	if got := h.PerInst[2]; got != isa.HintDeadRd|isa.HintDeadRn|isa.HintDeadRm {
 		t.Errorf("add hints = %v", got)
 	}
-	// The movz destinations are still live (read at the add): remat and
-	// cold only, no dead flags.
+	// The movz destinations are still live (read at the add): remat only,
+	// no dead flags.
 	for _, pc := range []int{0, 1} {
-		if got := h.PerInst[pc]; got != isa.HintRemat|isa.HintCold {
+		if got := h.PerInst[pc]; got != isa.HintRemat {
 			t.Errorf("movz pc %d hints = %v", pc, got)
 		}
 	}
@@ -70,7 +70,7 @@ func TestHintsRETIsConservative(t *testing.T) {
 	}
 }
 
-func TestHintsLoopDepthAndCold(t *testing.T) {
+func TestHintsLoopCarried(t *testing.T) {
 	p := mustAssemble(t, `
 		movz x5, #0
 		movz x4, #0
@@ -84,20 +84,10 @@ func TestHintsLoopDepthAndCold(t *testing.T) {
 		halt
 	`)
 	h := check.Synthesize(p)
-	wantDepth := []int{0, 0, 0, 1, 1, 1, 1, 0, 0}
-	for i, d := range wantDepth {
-		if h.Depth[i] != d {
-			t.Errorf("depth[%d] = %d, want %d", i, h.Depth[i], d)
-		}
-	}
-	// x9 never appears inside the loop: its instructions are cold. x4/x5
-	// are loop-carried, so nothing touching them may be flagged cold.
-	if h.PerInst[7]&isa.HintCold == 0 {
-		t.Errorf("add x9 hints = %v, want cold", h.PerInst[7])
-	}
-	for _, pc := range []int{0, 1, 3, 4, 5, 6} {
-		if h.PerInst[pc]&isa.HintCold != 0 {
-			t.Errorf("pc %d flagged cold but touches a loop register", pc)
+	// The movz results are rematerializable; nothing else is.
+	for pc, flags := range h.PerInst {
+		if want := pc <= 2; (flags&isa.HintRemat != 0) != want {
+			t.Errorf("pc %d hints = %v, remat want %v", pc, flags, want)
 		}
 	}
 	// Every register written in the loop body is re-read on the next
@@ -183,7 +173,8 @@ func TestAnnotateFormat(t *testing.T) {
 	`)
 	h := check.Synthesize(p)
 	out := h.Annotate(p)
-	for _, want := range []string{"depth=1", "remat", "hinted"} {
+	// Unhinted lines carry no annotation column at all.
+	for _, want := range []string{"; remat\n", "   1  sub x1, x1, #1\n", "1/4 hinted: 0 dead, 1 remat"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("annotation missing %q:\n%s", want, out)
 		}

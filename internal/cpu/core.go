@@ -36,10 +36,6 @@ type Config struct {
 	FPLatency    int // execute cycles for FADD/FSUB/FMUL/FMADD
 	FPDivLatency int // execute cycles for FDIV/FSQRT
 
-	// Trace, when set, receives one line per interesting event (switch,
-	// load issue/complete, cancel) for debugging; nil in normal runs.
-	Trace func(cycle uint64, event string)
-
 	// ValidateValues enables the golden-model check: every operand read
 	// from the provider is compared against a shadow architectural
 	// context maintained at commit. A mismatch panics — it means the
@@ -563,9 +559,6 @@ func (c *Core) issueLoad(f *inflight) {
 	}
 	f.loadIssued = true
 	c.Stats.Loads++
-	if c.cfg.Trace != nil {
-		c.cfg.Trace(c.cycle, fmt.Sprintf("t%d load issue pc=%d addr=%#x", f.thread, f.pc, f.effAddr))
-	}
 }
 
 // live reports whether the load's instruction still occupies its record:
@@ -979,9 +972,6 @@ func (c *Core) csl() {
 		if !c.committedSinceSwitch && c.zeroCommitSwitches >= c.liveThreads()-1 {
 			c.pendingSwitch = switchNone
 			c.Stats.SwitchCancels++
-			if c.cfg.Trace != nil {
-				c.cfg.Trace(c.cycle, fmt.Sprintf("t%d cancel (full rotation)", c.cur))
-			}
 			return
 		}
 	}
@@ -1045,9 +1035,6 @@ func (c *Core) csl() {
 		}
 		c.tracer.Emit(c.cycle, telemetry.EvSwitch, c.traceCore, int32(next),
 			uint64(int64(prev)), why, 0)
-	}
-	if c.cfg.Trace != nil {
-		c.cfg.Trace(c.cycle, fmt.Sprintf("switch t%d->t%d reason=%d zc=%d", prev, next, reason, c.zeroCommitSwitches))
 	}
 }
 
@@ -1499,9 +1486,6 @@ func (c *Core) SkipTo(last uint64) {
 	}
 	c.provider.Tick(last)
 }
-
-// SetTrace installs a debug event hook (tests only).
-func (c *Core) SetTrace(fn func(cycle uint64, event string)) { c.cfg.Trace = fn }
 
 // ---- telemetry ----
 

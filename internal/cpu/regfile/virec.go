@@ -77,20 +77,11 @@ type ViReC struct {
 	prefetchRegs [][]isa.Reg
 
 	// Oracle state for the Belady policy: per-thread occurrence lists of
-	// each register in the thread's recorded access sequence, a cursor
-	// counting committed accesses, and the number of register accesses of
-	// each in-flight (decoded, uncommitted) instruction.
+	// each register in the thread's recorded access sequence, and a cursor
+	// counting committed accesses (each rollback-queue entry carries its
+	// instruction's count). Nil under every other policy.
 	oracleOcc    []map[isa.Reg][]uint32
 	oracleCursor []uint32
-	inflightRegs map[uint64]uint32
-
-	// hintPend holds the compiler-hint marks of decoded-but-uncommitted
-	// instructions, keyed by sequence number like inflightRegs. Marks are
-	// applied to the tag store only at commit — a flushed instruction
-	// replays, so its marks are discarded with the flush — keeping hints
-	// exactly as speculative as the instructions that carry them. Nil
-	// unless the policy is hint-aware.
-	hintPend map[uint64]hintMark
 
 	// pending tracks fills in flight: (thread,reg) -> physical slot.
 	pending map[regKey]int
@@ -139,18 +130,6 @@ type regKey struct {
 	reg    isa.Reg
 }
 
-// hintMark is the value-typed record of one instruction's hint marks,
-// applied at commit. Fixed-size arrays keep the decode path allocation
-// free (dead ≤ 4 operand fields, cold ≤ 6 touched registers).
-type hintMark struct {
-	thread int
-	dead   [4]isa.Reg
-	cold   [6]isa.Reg
-	nDead  uint8
-	nCold  uint8
-	remat  isa.Reg // destination to mark rematerializable; XZR = none
-}
-
 type sysSlot struct {
 	thread  int
 	ready   bool
@@ -188,11 +167,7 @@ func NewViReC(cfg ViReCConfig, threads int, dcache mem.Device, memory *mem.Memor
 	if cfg.Policy == vrmu.Belady {
 		p.oracleOcc = make([]map[isa.Reg][]uint32, threads)
 		p.oracleCursor = make([]uint32, threads)
-		p.inflightRegs = make(map[uint64]uint32)
 		tags.SetOracle(p.oracleDistance)
-	}
-	if cfg.Policy.HintAware() {
-		p.hintPend = make(map[uint64]hintMark)
 	}
 	return p
 }
@@ -582,18 +557,21 @@ func (p *ViReC) WriteValue(thread int, r isa.Reg, v uint64) {
 	p.tags.WriteValue(phys, v)
 }
 
-// InstDecoded pushes the instruction's physical registers into the
-// rollback queue and releases the decode locks.
+// InstDecoded pushes the instruction's record into the rollback queue —
+// its physical registers, its register-access count and, under a
+// hint-aware policy, its hint marks — and releases the decode locks.
 //
 //virec:hotpath
 func (p *ViReC) InstDecoded(thread int, seq uint64, in *isa.Inst) {
 	var regs [6]isa.Reg
 	var physBuf [6]int
 	phys := physBuf[:0]
+	var accesses uint32
 	for _, r := range in.Regs(regs[:0]) {
 		if r == isa.XZR {
 			continue
 		}
+		accesses++
 		idx, ok := p.tags.Lookup(thread, r)
 		if !ok {
 			continue
@@ -609,91 +587,37 @@ func (p *ViReC) InstDecoded(thread int, seq uint64, in *isa.Inst) {
 			phys = append(phys, idx)
 		}
 	}
-	p.rq.Push(seq, phys, in.IsMem())
-	if p.inflightRegs != nil {
-		var n uint32
-		for _, r := range in.Regs(regs[:0]) {
-			if r != isa.XZR {
-				n++
-			}
-		}
-		p.inflightRegs[seq] = n
-	}
-	if p.hintPend != nil && in.Hints != 0 {
-		hm := hintMark{thread: thread, remat: isa.XZR}
-		hm.nDead = uint8(len(in.DeadRegs(hm.dead[:0])))
-		if in.Hints&isa.HintCold != 0 {
-			hm.nCold = uint8(len(in.Regs(hm.cold[:0])))
-		}
+	e := p.rq.Push(seq, phys, in.IsMem())
+	e.Accesses = accesses
+	if p.cfg.Policy.HintAware() {
+		e.Thread = thread
+		e.NDead = uint8(len(in.DeadRegs(e.Dead[:0])))
 		if in.Hints&isa.HintRemat != 0 {
-			hm.remat = in.Rd
+			e.Remat = in.Rd
 		}
-		p.hintPend[seq] = hm
 	}
 	p.lockedInst = nil
 	clear(p.lockedPhys)
 }
 
-// applyHintMark installs one committed instruction's hint marks into the
-// tag store. Registers no longer resident simply lose their mark (the
-// eviction already happened; nothing to steer).
-//
-//virec:hotpath
-func (p *ViReC) applyHintMark(hm hintMark) {
-	for i := 0; i < int(hm.nDead); i++ {
-		if phys, ok := p.tags.Lookup(hm.thread, hm.dead[i]); ok {
-			p.tags.MarkDead(phys)
-		}
-	}
-	for i := 0; i < int(hm.nCold); i++ {
-		r := hm.cold[i]
-		if r == isa.XZR {
-			continue
-		}
-		if phys, ok := p.tags.Lookup(hm.thread, r); ok {
-			p.tags.MarkCold(phys)
-		}
-	}
-	if hm.remat != isa.XZR {
-		if phys, ok := p.tags.Lookup(hm.thread, hm.remat); ok {
-			p.tags.MarkRemat(phys)
-		}
-	}
-}
-
-// InstCommitted retires the oldest rollback-queue entry and, under the
-// Belady policy, advances the thread's future-knowledge cursor past the
-// instruction's register accesses.
+// InstCommitted retires the oldest rollback-queue entry, which applies the
+// instruction's hint marks, and under the Belady policy advances the
+// thread's future-knowledge cursor past its register accesses.
 //
 //virec:hotpath
 func (p *ViReC) InstCommitted(thread int, seq uint64) {
-	p.rq.Commit(seq)
-	if p.inflightRegs != nil {
-		p.oracleCursor[thread] += p.inflightRegs[seq]
-		delete(p.inflightRegs, seq)
-	}
-	if p.hintPend != nil {
-		if hm, ok := p.hintPend[seq]; ok {
-			p.applyHintMark(hm)
-			delete(p.hintPend, seq)
-		}
+	accesses := p.rq.Commit(seq)
+	if p.oracleCursor != nil {
+		p.oracleCursor[thread] += accesses
 	}
 }
 
 // PipelineFlushed resets the C bits of all in-flight registers (unless
 // the rollback ablation is active, in which case the queue is drained
-// without resets).
+// without resets). Either way the flushed instructions' access counts and
+// hint marks go with their entries: they replay, so their accesses stay
+// in the future and their marks are recorded again at the replayed decode.
 func (p *ViReC) PipelineFlushed(thread int) {
-	if p.inflightRegs != nil {
-		// Flushed instructions replay: their accesses stay in the future.
-		clear(p.inflightRegs)
-	}
-	if p.hintPend != nil {
-		// The rollback path for hints: flushed instructions replay, so
-		// their unapplied marks are discarded with them (they will be
-		// re-recorded at the replayed decode).
-		clear(p.hintPend)
-	}
 	if p.cfg.NoRollback {
 		p.rq.Drop()
 		return
@@ -1019,9 +943,6 @@ func (p *ViReC) DiagDump() string {
 			}
 			if e.Dead {
 				flags += ",dead"
-			}
-			if e.Cold {
-				flags += ",cold"
 			}
 			if e.Remat {
 				flags += ",remat"

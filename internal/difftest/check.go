@@ -126,7 +126,7 @@ func Matrix() []Scenario {
 	}
 	out = append(out,
 		Scenario{Kind: sim.ViReC, Policy: vrmu.LRCH, Threads: 8, CtxPct: 40},
-		Scenario{Kind: sim.ViReC, Policy: vrmu.LRCRD, Threads: 8, CtxPct: 60},
+		Scenario{Kind: sim.ViReC, Policy: vrmu.LRCH, Threads: 8, CtxPct: 60},
 		Scenario{Kind: sim.ViReC, Policy: vrmu.LRCH, Threads: 4, Faults: "storm"})
 	// Capacity pressure: the register file holds well under the full
 	// contexts, so spill/fill and rollback paths run hot.

@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register("hints", "Compiler-assisted hint policies: LRC / LRC+H / LRC+RD "+
+	register("hints", "Compiler-assisted hint policies: LRC / LRC+H "+
 		"vs the Belady oracle, over the shipped kernels and a generated population", hints)
 }
 
@@ -29,7 +29,7 @@ func hints(opt Options) (*Report, error) {
 	pcts := []int{80, 40}
 	// LRC is the baseline the hint policies extend; Belady is the oracle
 	// ceiling they chase with static facts instead of future knowledge.
-	policies := []vrmu.Policy{vrmu.LRC, vrmu.LRCH, vrmu.LRCRD, vrmu.Belady}
+	policies := []vrmu.Policy{vrmu.LRC, vrmu.LRCH, vrmu.Belady}
 
 	header := []string{"workload", "ctx%"}
 	for _, p := range policies {
@@ -46,7 +46,7 @@ func hints(opt Options) (*Report, error) {
 	perfs := map[key][]float64{}
 	spillRates := map[key][]float64{}
 	type hintAgg struct {
-		deadVictims, coldDemotions, elided, evictions, spills uint64
+		deadVictims, elided, evictions, spills uint64
 	}
 	activity := map[key]*hintAgg{}
 
@@ -87,7 +87,6 @@ func hints(opt Options) (*Report, error) {
 					activity[k] = agg
 				}
 				agg.deadVictims += res.TagStats[0].DeadVictims
-				agg.coldDemotions += res.TagStats[0].ColdDemotions
 				agg.elided += res.Metrics.Counter("rf0/hint_spills_elided")
 				agg.evictions += res.TagStats[0].Evictions
 				agg.spills += spills
@@ -117,14 +116,12 @@ func hints(opt Options) (*Report, error) {
 
 	// Hint-machinery activity: how often the new bits actually fire. The
 	// hint-free baselines stay at zero by construction.
-	act := stats.NewTable("ctx%", "policy", "dead_victim_share", "cold_demotions",
-		"spills_elided_share")
+	act := stats.NewTable("ctx%", "policy", "dead_victim_share", "spills_elided_share")
 	for _, pct := range pcts {
 		for _, pol := range vrmu.HintPolicies() {
 			agg := activity[key{pct, pol}]
 			act.AddRow(pct, pol.String(),
 				ratio(agg.deadVictims, agg.evictions),
-				agg.coldDemotions,
 				ratio(agg.elided, agg.spills))
 		}
 	}
@@ -186,14 +183,13 @@ func hints(opt Options) (*Report, error) {
 				popAct[pol] = agg
 			}
 			agg.deadVictims += res.TagStats[0].DeadVictims
-			agg.coldDemotions += res.TagStats[0].ColdDemotions
 			agg.evictions += res.TagStats[0].Evictions
 			agg.elided += res.Metrics.Counter("rf0/hint_spills_elided")
 			agg.spills += spills
 		}
 	}
 	pop := stats.NewTable("policy", "seeds", "hit_rate", "spills_per_kinst",
-		"speedup_vs_LRC", "dead_victim_share", "cold_demotions", "spills_elided_share")
+		"speedup_vs_LRC", "dead_victim_share", "spills_elided_share")
 	for _, pol := range policies {
 		agg := popAct[pol]
 		pop.AddRow(pol.String(), seeds,
@@ -201,7 +197,6 @@ func hints(opt Options) (*Report, error) {
 			stats.Mean(popSpills[pol]),
 			stats.GeoMean(popSpeedups[pol]),
 			ratio(agg.deadVictims, agg.evictions),
-			agg.coldDemotions,
 			ratio(agg.elided, agg.spills))
 	}
 	rep.Tables = append(rep.Tables, pop)

@@ -23,7 +23,11 @@ const (
 	HintDeadRm                  // reg named by Rm dead after commit
 	HintDeadRa                  // reg named by Ra dead after commit
 	HintRemat                   // dest value rematerializable from the encoding alone
-	HintCold                    // inst outside all loops and touches only loop-free regs
+
+	// hintReserved is bit 5: nothing produces or consumes it, but the
+	// decoder accepts it and the encoder preserves it, so encodings that
+	// carry it keep decoding and round-tripping byte-exact.
+	hintReserved
 
 	// HintDeadAny masks the four field-dead flags.
 	HintDeadAny = HintDeadRd | HintDeadRn | HintDeadRm | HintDeadRa
@@ -42,7 +46,7 @@ var hintDeadFlags = [4]Hint{HintDeadRd, HintDeadRn, HintDeadRm, HintDeadRa}
 
 var hintFieldNames = [4]string{"Rd", "Rn", "Rm", "Ra"}
 
-// String renders the flag set, e.g. "dead(Rd,Rm)|remat|cold".
+// String renders the flag set, e.g. "dead(Rd,Rm)|remat".
 func (h Hint) String() string {
 	if h == 0 {
 		return "none"
@@ -72,9 +76,9 @@ func (h Hint) String() string {
 		sep()
 		b.WriteString("remat")
 	}
-	if h&HintCold != 0 {
+	if h&hintReserved != 0 {
 		sep()
-		b.WriteString("cold")
+		b.WriteString("reserved")
 	}
 	return b.String()
 }

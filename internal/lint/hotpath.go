@@ -296,7 +296,7 @@ func (w *hotWalker) checkComposite(fn *hotFunc, root string, cl *ast.CompositeLi
 }
 
 // isFuncNilGuard matches `x != nil` where x has func type — the debug-hook
-// guard idiom (`if c.cfg.Trace != nil { ... }`).
+// guard idiom (`if c.onCommit != nil { ... }`).
 func isFuncNilGuard(info *types.Info, cond ast.Expr) bool {
 	be, ok := cond.(*ast.BinaryExpr)
 	if !ok || be.Op != token.NEQ {

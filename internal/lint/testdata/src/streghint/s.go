@@ -10,7 +10,7 @@ import "github.com/virec/virec/internal/telemetry"
 type HintStats struct {
 	HintSpillsElided uint64
 	DeadVictims      uint64 // want "HintStats.DeadVictims is not registered"
-	ColdDemotions    uint64 // want "HintStats.ColdDemotions is not registered"
+	RematMarks       uint64 // want "HintStats.RematMarks is not registered"
 }
 
 func registerHints(reg *telemetry.Registry, prefix string, s *HintStats) {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/harden"
 	"github.com/virec/virec/internal/sim"
 	"github.com/virec/virec/internal/vrmu"
@@ -13,8 +14,8 @@ import (
 // TestRunRecoversPanicsToCrashError proves sim.Run converts any panic
 // raised inside the cycle loop into a structured *CrashError carrying a
 // diagnostic dump and the original stack, instead of killing the caller.
-// The trace hook is the injection point: it runs inside Core.Tick exactly
-// like the machinery the hardening layer guards.
+// The commit observer is the injection point: it runs inside Core.Tick
+// exactly like the machinery the hardening layer guards.
 func TestRunRecoversPanicsToCrashError(t *testing.T) {
 	s, err := sim.New(sim.Config{
 		Kind: sim.ViReC, ThreadsPerCore: 4,
@@ -24,14 +25,14 @@ func TestRunRecoversPanicsToCrashError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Cores[0].SetTrace(func(cy uint64, ev string) { panic("trace hook exploded") })
+	s.Cores[0].SetOnCommit(func(cpu.CommitEvent) { panic("commit observer exploded") })
 
 	_, err = s.Run()
 	var ce *sim.CrashError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v (%T), want *sim.CrashError", err, err)
 	}
-	if ce.Panic != "trace hook exploded" {
+	if ce.Panic != "commit observer exploded" {
 		t.Errorf("Panic = %v, want the original panic value", ce.Panic)
 	}
 	if len(ce.Stack) == 0 {
@@ -42,7 +43,7 @@ func TestRunRecoversPanicsToCrashError(t *testing.T) {
 			t.Errorf("dump missing %q:\n%s", want, ce.Dump)
 		}
 	}
-	if !strings.Contains(err.Error(), "trace hook exploded") {
+	if !strings.Contains(err.Error(), "commit observer exploded") {
 		t.Errorf("Error() does not mention the panic: %s", err)
 	}
 }

@@ -26,7 +26,7 @@ func TestHintPolicyNames(t *testing.T) {
 	}
 	// Hint policies are opt-in, not part of the Figure-12 default set.
 	for _, p := range AllPolicies() {
-		if p == LRCH || p == LRCRD {
+		if p == LRCH {
 			t.Errorf("%v leaked into AllPolicies", p)
 		}
 	}
@@ -72,32 +72,6 @@ func TestTouchAndWriteClearDeadMark(t *testing.T) {
 	}
 	if ts.Stats.DeadVictims != 0 {
 		t.Errorf("DeadVictims = %d, want 0 (no dead entry was evicted)", ts.Stats.DeadVictims)
-	}
-}
-
-func TestColdDemotionOrdersLRCRD(t *testing.T) {
-	ts := NewTagStore(2, LRCRD)
-	ts.SetCurrent(0)
-	phys := fill(ts, [2]int{0, 0}, [2]int{0, 1})
-	// x1 is younger (lower age) but cold: LRC+RD must evict it before the
-	// hot x0; plain LRC+H ignores the cold bit.
-	ts.entries[phys[0]].A = maxAge
-	ts.MarkCold(phys[1])
-	ts.MarkCold(phys[1]) // idempotent: one demotion counted
-	if v := ts.SelectVictim(nil); ts.Entry(v).Reg != isa.X1 {
-		t.Errorf("LRC+RD victim = %s, want the cold x1", ts.Entry(v).Reg)
-	}
-	if ts.Stats.ColdDemotions != 1 {
-		t.Errorf("ColdDemotions = %d, want 1", ts.Stats.ColdDemotions)
-	}
-
-	tsH := NewTagStore(2, LRCH)
-	tsH.SetCurrent(0)
-	physH := fill(tsH, [2]int{0, 0}, [2]int{0, 1})
-	tsH.entries[physH[0]].A = maxAge
-	tsH.MarkCold(physH[1])
-	if v := tsH.SelectVictim(nil); tsH.Entry(v).Reg != isa.X0 {
-		t.Errorf("LRC+H victim = %s, want x0 (cold bit must not matter)", tsH.Entry(v).Reg)
 	}
 }
 

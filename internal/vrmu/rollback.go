@@ -1,14 +1,32 @@
 package vrmu
 
-import "fmt"
+import (
+	"fmt"
 
-// RollbackEntry records the physical registers touched by one in-flight
-// instruction, plus whether that instruction is a memory operation (the
-// context switching logic needs the memory status of the oldest entry).
+	"github.com/virec/virec/internal/isa"
+)
+
+// RollbackEntry is the one record of an in-flight instruction: the
+// physical registers it touches, whether it is a memory operation (the
+// context switching logic needs the memory status of the oldest entry),
+// its register-access count (the Belady oracle's cursor advances by it at
+// commit) and its compiler-hint marks. Marks reach the tag store only when
+// the entry commits; a flush discards them with the entry, and the
+// replayed decode records them again, so hints stay exactly as
+// speculative as the instructions that carry them.
 type RollbackEntry struct {
-	Phys  []int
-	IsMem bool
-	Seq   uint64 // instruction sequence number, for matching on commit
+	Phys     []int
+	IsMem    bool
+	Seq      uint64 // instruction sequence number, for matching on commit
+	Accesses uint32 // non-XZR entries of the instruction's in.Regs
+
+	// Hint marks, set by the provider after Push under a hint-aware
+	// policy: the registers of Thread the dead flags name, and the
+	// destination to mark rematerializable (XZR = none).
+	Thread int
+	Dead   [4]isa.Reg
+	NDead  uint8
+	Remat  isa.Reg
 }
 
 // RollbackQueue is the FIFO of in-flight instructions' register indices.
@@ -73,12 +91,14 @@ func (q *RollbackQueue) CheckInvariants(physSize int) string {
 	return ""
 }
 
-// Push records an instruction that passed decode. phys is copied into
+// Push records an instruction that passed decode and returns its entry,
+// with no accesses and no hint marks, for the caller to fill in; the
+// pointer is valid until the next Push or Commit. phys is copied into
 // storage recycled from committed entries, so steady-state pushes (after
 // the entry slice and each entry's Phys have grown to the backend's
 // working size) allocate nothing — Push runs once per decoded
 // instruction, on the core's tick path.
-func (q *RollbackQueue) Push(seq uint64, phys []int, isMem bool) {
+func (q *RollbackQueue) Push(seq uint64, phys []int, isMem bool) *RollbackEntry {
 	n := len(q.entries)
 	if n < cap(q.entries) {
 		q.entries = q.entries[:n+1]
@@ -86,27 +106,48 @@ func (q *RollbackQueue) Push(seq uint64, phys []int, isMem bool) {
 		q.entries = append(q.entries, RollbackEntry{})
 	}
 	e := &q.entries[n]
-	e.Phys = append(e.Phys[:0], phys...)
-	e.IsMem = isMem
-	e.Seq = seq
+	*e = RollbackEntry{Phys: append(e.Phys[:0], phys...), IsMem: isMem, Seq: seq, Remat: isa.XZR}
+	return e
 }
 
-// Commit removes the oldest entry; the commit stage signals it when an
-// instruction completes. Committing out of order is a programming error
-// and panics (the core is in-order). The removed entry's Phys storage
-// rotates to the slice's tail, where the next Push reuses it.
-func (q *RollbackQueue) Commit(seq uint64) {
+// Commit removes the oldest entry, applies its hint marks to the tag store
+// and returns its register-access count; the commit stage signals it when
+// an instruction completes. Committing out of order is a programming error
+// and panics (the core is in-order); committing against an empty queue
+// (the instruction's entry went with a flush) does nothing. The removed
+// entry's Phys storage rotates to the slice's tail, where the next Push
+// reuses it.
+func (q *RollbackQueue) Commit(seq uint64) uint32 {
 	if len(q.entries) == 0 {
-		return
+		return 0
 	}
-	if q.entries[0].Seq != seq {
+	head := &q.entries[0]
+	if head.Seq != seq {
 		panic(fmt.Sprintf("vrmu: out-of-order commit against rollback queue: committed seq %d, oldest in-flight seq %d (%d queued)",
-			seq, q.entries[0].Seq, len(q.entries)))
+			seq, head.Seq, len(q.entries)))
 	}
-	head := q.entries[0].Phys
+	q.applyMarks(head)
+	accesses, phys := head.Accesses, head.Phys
 	n := copy(q.entries, q.entries[1:])
-	q.entries[n] = RollbackEntry{Phys: head[:0]}
+	q.entries[n] = RollbackEntry{Phys: phys[:0]}
 	q.entries = q.entries[:n]
+	return accesses
+}
+
+// applyMarks installs a committing entry's hint marks. Registers no longer
+// resident simply lose their mark (the eviction already happened; nothing
+// to steer).
+func (q *RollbackQueue) applyMarks(e *RollbackEntry) {
+	for _, r := range e.Dead[:e.NDead] {
+		if phys, ok := q.tags.Lookup(e.Thread, r); ok {
+			q.tags.MarkDead(phys)
+		}
+	}
+	if e.Remat != isa.XZR {
+		if phys, ok := q.tags.Lookup(e.Thread, e.Remat); ok {
+			q.tags.MarkRemat(phys)
+		}
+	}
 }
 
 // OldestIsMem reports whether the oldest in-flight instruction is a memory
@@ -121,13 +162,14 @@ func (q *RollbackQueue) OldestIsMem() (bool, bool) {
 
 // Drop empties the queue without resetting any C bits (the NoRollback
 // ablation: the hardware cost of the queue is removed and commit bits go
-// stale on flushes).
+// stale on flushes). The entries' hint marks go with them.
 func (q *RollbackQueue) Drop() {
 	q.entries = q.entries[:0]
 }
 
 // Flush compacts every queued register index into one set, resets the
-// corresponding C bits in the tag store, and empties the queue. It returns
+// corresponding C bits in the tag store, and empties the queue, discarding
+// the entries' hint marks (flushed instructions replay). It returns
 // the number of distinct physical registers rolled back. Flush runs on
 // every pipeline flush (each context switch); the compaction set and its
 // membership bitmap are scratch fields reused across calls.

@@ -58,14 +58,10 @@ const (
 	// proved dead outranks every live entry as a victim, and spills of
 	// dead or rematerializable values come off the BSI critical path.
 	LRCH
-	// LRCRD adds Register-Dispersion-style cold demotion (arXiv
-	// 2503.17333) to LRCH: registers only touched outside loops are
-	// demoted behind hot ones in the retention order.
-	LRCRD
 )
 
 var policyNames = [...]string{"PLRU", "LRU", "MRT-PLRU", "MRT-LRU", "LRC", "Belady",
-	"LRC+H", "LRC+RD"}
+	"LRC+H"}
 
 // String returns the paper's name for the policy.
 func (p Policy) String() string {
@@ -91,11 +87,11 @@ func ParsePolicy(s string) (Policy, error) {
 func AllPolicies() []Policy { return []Policy{PLRU, LRU, MRTPLRU, MRTLRU, LRC} }
 
 // HintPolicies lists the policies that consume compiler hints.
-func HintPolicies() []Policy { return []Policy{LRCH, LRCRD} }
+func HintPolicies() []Policy { return []Policy{LRCH} }
 
 // HintAware reports whether the policy consumes compiler hints (and so
 // whether a provider should track hint marks for in-flight instructions).
-func (p Policy) HintAware() bool { return p == LRCH || p == LRCRD }
+func (p Policy) HintAware() bool { return p == LRCH }
 
 const (
 	maxT   = 7 // 3-bit thread recency
@@ -122,7 +118,6 @@ type Entry struct {
 	// reuse of the entry (the hint described the previous lifetime); they
 	// affect victim choice and spill scheduling only, never values.
 	Dead  bool // architecturally dead on every path; ideal victim
-	Cold  bool // only ever touched outside loops; demote behind hot regs
 	Remat bool // value reproducible from an immediate; writeback is waste
 
 	lastUse uint64 // perfect-LRU timestamp
@@ -149,8 +144,7 @@ type Stats struct {
 	DirtyEvict uint64
 	CResets    uint64 // C bits reset by the rollback queue
 
-	DeadVictims   uint64 // evictions that picked a hint-proven dead entry
-	ColdDemotions uint64 // entries demoted cold by a compiler hint
+	DeadVictims uint64 // evictions that picked a hint-proven dead entry
 }
 
 // HitRate returns hits/(hits+misses).
@@ -210,7 +204,6 @@ func (t *TagStore) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Counter(prefix+"/dirty_evicts", &s.DirtyEvict)
 	r.Counter(prefix+"/c_resets", &s.CResets)
 	r.Counter(prefix+"/dead_victims", &s.DeadVictims)
-	r.Counter(prefix+"/cold_demotions", &s.ColdDemotions)
 	r.Gauge(prefix+"/occupancy", func() float64 { return float64(t.Occupancy()) })
 }
 
@@ -340,19 +333,15 @@ func (t *TagStore) retention(i int, oldestRank []uint64) uint64 {
 		return uint64(e.T)<<32 | oldestRank[i]
 	case LRC:
 		return uint64(e.T)<<4 | cBit<<3 | uint64(e.A)
-	case LRCH, LRCRD:
-		// LRC order, with hint bits above the recency bits: a dead entry
-		// beats every live one (its value is unreachable, eviction is
-		// free), and under LRC+RD a cold entry goes before any hot one of
-		// equal deadness.
-		deadBit, coldBit := uint64(0), uint64(0)
+	case LRCH:
+		// LRC order, with the dead bit above the recency bits: a dead
+		// entry beats every live one (its value is unreachable, eviction
+		// is free).
+		deadBit := uint64(0)
 		if e.Dead {
 			deadBit = 1
 		}
-		if e.Cold && t.policy == LRCRD {
-			coldBit = 1
-		}
-		return deadBit<<9 | coldBit<<8 | uint64(e.T)<<4 | cBit<<3 | uint64(e.A)
+		return deadBit<<7 | uint64(e.T)<<4 | cBit<<3 | uint64(e.A)
 	case Belady:
 		var dist uint64
 		if t.oracle != nil {
@@ -508,18 +497,6 @@ func (t *TagStore) MarkDead(phys int) {
 func (t *TagStore) MarkRemat(phys int) {
 	if e := &t.entries[phys]; e.Valid {
 		e.Remat = true
-	}
-}
-
-// MarkCold demotes the entry at phys behind hot registers in the LRC+RD
-// retention order, per a compiler hint that the register is only ever
-// touched outside loops. Counted once per false→true transition.
-//
-//virec:hotpath
-func (t *TagStore) MarkCold(phys int) {
-	if e := &t.entries[phys]; e.Valid && !e.Cold {
-		e.Cold = true
-		t.Stats.ColdDemotions++
 	}
 }
 
