@@ -1226,7 +1226,8 @@ func minDeadline(cur, d uint64) uint64 {
 // which this classification stops being self-evidently stable (an EX
 // latency expiring, a fixed-latency fetch slot maturing, a masked switch
 // becoming eligible); external completions are bounded by the memory-side
-// NextEvent scan instead. The soundness argument lives in DESIGN.md §15.
+// NextEvent scan instead. The provider must implement SkipSupport (NextEvent
+// checks). The soundness argument lives in DESIGN.md §15.
 func (c *Core) skipScan(now uint64) (cls skipClass, deadline uint64, ok bool) {
 	// Commit: anything latched in WB retires (or probes the store queue).
 	if c.wb != nil {
@@ -1270,8 +1271,6 @@ func (c *Core) skipScan(now uint64) (cls skipClass, deadline uint64, ok bool) {
 		switch {
 		case fwdStalled:
 			cls.decodeFwd = true
-		case c.skipSup == nil:
-			return cls, 0, false
 		default:
 			ready, pure := c.skipSup.PeekAcquire(f.thread, f.in, need)
 			if !pure {
@@ -1407,9 +1406,6 @@ func (c *Core) cslPureWait() (wait, pure bool) {
 		return false, false
 	}
 	if !c.threads[next].Started {
-		return false, false
-	}
-	if c.skipSup == nil {
 		return false, false
 	}
 	ready, p := c.skipSup.PeekCanSwitch(next)

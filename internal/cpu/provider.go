@@ -74,8 +74,9 @@ type Provider interface {
 // clock skip-ahead. A provider implementing it lets the core prove that a
 // whole run of future cycles would be pure stalls — identical stall
 // counters, no state change — so the simulator can jump the clock over
-// them. Providers that do not implement SkipSupport simply never skip;
-// correctness is unaffected, only speed.
+// them. The Banked and ViReC providers implement it; a provider that does
+// not (Software, Prefetch) simply never skips, which costs speed, not
+// correctness.
 type SkipSupport interface {
 	// SkipQuiescent reports whether Tick would be a state-preserving
 	// no-op right now (no queued BSI transactions to issue; in-flight

@@ -234,42 +234,6 @@ func (p *Prefetch) storeBank(b, thread int) {
 // BlockSwitch never masks: switch readiness is in CanSwitchTo.
 func (p *Prefetch) BlockSwitch() bool { return false }
 
-// SkipQuiescent reports whether Tick would be a pure no-op (cpu.SkipSupport).
-func (p *Prefetch) SkipQuiescent() bool { return p.bsi.quiet() }
-
-// PeekCanSwitch previews CanSwitchTo without side effects. A query for an
-// unbuffered thread would claim and recycle a bank, so it reports
-// pure=false and forces a normally ticked cycle.
-func (p *Prefetch) PeekCanSwitch(next int) (ready, pure bool) {
-	if b := p.bankIdx(next); b >= 0 {
-		return p.loading[b] == 0, true
-	}
-	return false, false
-}
-
-// PeekAcquire previews a repeated Acquire. Unbuffered-thread and
-// bank-loading rejections are stateless; with every needed source
-// resident the success path is stateless too. A non-resident source with
-// no on-demand fill under way would push a BSI load, so that case forces
-// a normally ticked cycle.
-func (p *Prefetch) PeekAcquire(thread int, in *isa.Inst, needSrcs []isa.Reg) (ready, pure bool) {
-	b := p.bankIdx(thread)
-	if b < 0 || p.loading[b] > 0 {
-		return false, true
-	}
-	ready = true
-	for _, r := range needSrcs {
-		if r == isa.XZR || p.resident[b][r] {
-			continue
-		}
-		if !p.onDemand[regKey{thread, r}] {
-			return false, false // Acquire would start a fill
-		}
-		ready = false
-	}
-	return ready, true
-}
-
 // OnSwitch starts prefetching the round-robin successor into the bank
 // vacated by prev, overlapping next's execution.
 func (p *Prefetch) OnSwitch(prev, next int) {

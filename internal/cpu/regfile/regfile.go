@@ -121,8 +121,8 @@ func (r *bsiReq) onDone(cy uint64) {
 // transaction; the non-blocking BSI pipelines them (Section 5.3).
 type bsi struct {
 	dcache      mem.Device
-	loads       []bsiOp
-	stores      []bsiOp
+	loads       bsiQueue
+	stores      bsiQueue
 	free        []*bsiReq // request pool, grown lazily
 	outstanding int
 	nonBlocking bool
@@ -142,19 +142,47 @@ func newBSI(dcache mem.Device, nonBlocking bool) *bsi {
 	return &bsi{dcache: dcache, nonBlocking: nonBlocking, perCycle: 1}
 }
 
-func (b *bsi) pushLoad(op bsiOp)  { b.loads = append(b.loads, op) }
-func (b *bsi) pushStore(op bsiOp) { b.stores = append(b.stores, op) }
+func (b *bsi) pushLoad(op bsiOp)  { b.loads.push(op) }
+func (b *bsi) pushStore(op bsiOp) { b.stores.push(op) }
 
 // Outstanding reports queued plus in-flight transactions; the CSL masks
 // context switches while it is non-zero.
 func (b *bsi) Outstanding() int {
-	return len(b.loads) + len(b.stores) + b.outstanding
+	return b.loads.len() + b.stores.len() + b.outstanding
 }
 
 // quiet reports whether Tick would be a pure no-op: nothing is queued for
 // issue. In-flight transactions (outstanding > 0) complete through dcache
 // callbacks and need no BSI ticks, so they do not block clock skip-ahead.
-func (b *bsi) quiet() bool { return len(b.loads) == 0 && len(b.stores) == 0 }
+func (b *bsi) quiet() bool { return b.loads.len() == 0 && b.stores.len() == 0 }
+
+// bsiQueue is a FIFO of bsiOps. Pops advance a head index, and the live
+// window ops[head:] is copied down only once head passes half the slice,
+// so a pop costs O(1) amortized at any depth: the full-context prefetch
+// provider queues over 100,000 ops. Every slot outside the live window is
+// zero, so a popped op's onDone is not kept alive.
+type bsiQueue struct {
+	ops  []bsiOp
+	head int
+}
+
+func (q *bsiQueue) push(op bsiOp) { q.ops = append(q.ops, op) }
+
+func (q *bsiQueue) len() int { return len(q.ops) - q.head }
+
+// front returns the oldest op; the queue must be non-empty.
+func (q *bsiQueue) front() *bsiOp { return &q.ops[q.head] }
+
+// pop drops the oldest op; the queue must be non-empty.
+func (q *bsiQueue) pop() {
+	q.ops[q.head] = bsiOp{}
+	q.head++
+	if q.head*2 > len(q.ops) {
+		n := copy(q.ops, q.ops[q.head:])
+		clear(q.ops[n:])
+		q.ops, q.head = q.ops[:n], 0
+	}
+}
 
 // Tick issues queued transactions to the dcache, loads first.
 //
@@ -165,16 +193,16 @@ func (b *bsi) Tick(cycle uint64) {
 		if !b.nonBlocking && b.outstanding > 0 {
 			return
 		}
-		fromLoads := len(b.loads) > 0
-		if !fromLoads && len(b.stores) == 0 {
+		q := &b.loads
+		if q.len() == 0 {
+			q = &b.stores
+		}
+		if q.len() == 0 {
 			return
 		}
+		fromLoads := q == &b.loads
 		r := b.newReq()
-		if fromLoads {
-			r.op = b.loads[0]
-		} else {
-			r.op = b.stores[0]
-		}
+		r.op = *q.front()
 		op := &r.op
 		r.req = mem.Request{
 			Addr:         op.addr,
@@ -193,15 +221,14 @@ func (b *bsi) Tick(cycle uint64) {
 			return // dcache port busy (LSQ has priority); retry next cycle
 		}
 		b.outstanding++
+		q.pop()
 		if fromLoads {
-			b.loads = b.loads[:copy(b.loads, b.loads[1:])]
 			b.FillsIssued++
 			if b.tracer != nil {
 				b.tracer.Emit(cycle, telemetry.EvFill, b.traceCore, op.thread,
 					uint64(op.addr), uint64(op.reg), 0)
 			}
 		} else {
-			b.stores = b.stores[:copy(b.stores, b.stores[1:])]
 			b.SpillsIssued++
 			if b.tracer != nil {
 				b.tracer.Emit(cycle, telemetry.EvSpill, b.traceCore, op.thread,

@@ -172,36 +172,6 @@ func (p *Software) restoredDone(op *bsiOp) {
 // BlockSwitch never masks; the save/restore cost is in CanSwitchTo.
 func (p *Software) BlockSwitch() bool { return false }
 
-// SkipQuiescent reports whether Tick would be a pure no-op (cpu.SkipSupport).
-func (p *Software) SkipQuiescent() bool { return p.bsi.quiet() }
-
-// PeekCanSwitch previews CanSwitchTo without side effects. A first call
-// for a fresh target would kick off the save/restore sequence, so that
-// case reports pure=false and forces a normally ticked cycle.
-func (p *Software) PeekCanSwitch(next int) (ready, pure bool) {
-	if p.owner == next || p.target == next {
-		return p.pending == 0, true
-	}
-	if p.pending == 0 {
-		return false, false // CanSwitchTo would begin the switch
-	}
-	return false, true
-}
-
-// PeekAcquire previews a repeated Acquire. The wrong-owner and
-// transfer-in-progress rejections are stateless; the owner with no reload
-// pending succeeds statelessly; any reload handover mutates and forces a
-// normally ticked cycle.
-func (p *Software) PeekAcquire(thread int, in *isa.Inst, needSrcs []isa.Reg) (ready, pure bool) {
-	if p.owner != thread || p.pending > 0 {
-		return false, true
-	}
-	if p.target == -1 {
-		return true, true
-	}
-	return false, false
-}
-
 // OnSwitch installs the new owner.
 func (p *Software) OnSwitch(prev, next int) {
 	p.owner = next

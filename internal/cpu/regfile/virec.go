@@ -836,7 +836,7 @@ func (p *ViReC) Tick(cycle uint64) {
 func (p *ViReC) DebugState() string {
 	return fmt.Sprintf("pending=%d pendingPhys=%d superseded=%d locked=%d bsiOut=%d loads=%d stores=%d sys=[%+v %+v]",
 		len(p.pending), countTrue(p.pendingPhys), len(p.superseded), countTrue(p.lockedPhys),
-		p.bsi.outstanding, len(p.bsi.loads), len(p.bsi.stores), p.sysBuf[0], p.sysBuf[1])
+		p.bsi.outstanding, p.bsi.loads.len(), p.bsi.stores.len(), p.sysBuf[0], p.sysBuf[1])
 }
 
 // ---- hardening-layer hooks (diagnostics and invariants) ----
@@ -914,7 +914,7 @@ func (p *ViReC) DiagDump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "vrmu: phys=%d resident=%d policy=%s rollback=%d/%d bsi(out=%d loads=%d stores=%d) sysBsi=%d pfBsi=%d\n",
 		p.tags.Size(), p.tags.Occupancy(), p.tags.Policy(), p.rq.Len(), p.rq.Depth(),
-		p.bsi.outstanding, len(p.bsi.loads), len(p.bsi.stores),
+		p.bsi.outstanding, p.bsi.loads.len(), p.bsi.stores.len(),
 		p.sysBsi.Outstanding(), p.pfBsi.Outstanding())
 	byThread := make(map[int][]vrmu.Entry)
 	for i := 0; i < p.tags.Size(); i++ {

@@ -92,17 +92,14 @@ func NewInjector(plan FaultPlan, seed uint64, target *cache.Cache) *Injector {
 	return inj
 }
 
-// splitmixNext advances a splitmix64 stream in place.
-func splitmixNext(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := *s
+// next advances the injector's splitmix64 stream.
+func (inj *Injector) next() uint64 {
+	inj.rng += 0x9e3779b97f4a7c15
+	z := inj.rng
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
-
-// next advances the injector's splitmix64 stream.
-func (inj *Injector) next() uint64 { return splitmixNext(&inj.rng) }
 
 // Access forwards a request to the cache, possibly rejecting it (busy
 // burst, blocked fill) or arming a delayed completion (jitter). A
@@ -181,60 +178,13 @@ func (inj *Injector) storm() {
 	}
 }
 
-// NextEvent returns the first cycle in (now, horizon] at which Tick would
-// do observable work — release a held completion, open a busy burst, or
-// fire an eviction storm — or horizon when nothing fires sooner. The dice
-// for future cycles are previewed on a copy of the RNG stream in exactly
-// Tick's draw order, so the prediction is bit-exact; the real draws
-// happen in SkipTo and in the normal Tick at the fire cycle. The preview
-// costs up to two draws per cycle of horizon, so callers should pass the
-// tightest horizon they know. Read-only; now must be the last ticked
-// cycle and horizon must exceed now+1.
-func (inj *Injector) NextEvent(now, horizon uint64) uint64 {
-	if len(inj.delayed) > 0 {
-		horizon = min(max(inj.delayed[0].cycle, now+1), horizon)
-	}
-	if inj.plan.BusyPermille == 0 && inj.plan.StormPermille == 0 {
-		return horizon
-	}
-	rng := inj.rng
-	for c := now + 1; c < horizon; c++ {
-		if inj.plan.BusyPermille > 0 && c >= inj.busyTill &&
-			int(splitmixNext(&rng)%1000) < inj.plan.BusyPermille {
-			return c
-		}
-		if inj.plan.StormPermille > 0 &&
-			int(splitmixNext(&rng)%1000) < inj.plan.StormPermille {
-			return c
-		}
-	}
-	return horizon
-}
+// NextEvent always returns now+1: an attached injector vetoes clock
+// skip-ahead, so a faulted run ticks every cycle and its busy-burst and
+// storm dice are drawn only by Tick.
+func (inj *Injector) NextEvent(now, horizon uint64) uint64 { return now + 1 }
 
-// SkipTo advances the injector's clock and RNG stream over the skipped
-// cycles (now, upTo], drawing exactly the dice each normally ticked cycle
-// would have drawn. The caller must have bounded the skip with NextEvent:
-// none of the skipped cycles may fire.
-func (inj *Injector) SkipTo(upTo uint64) {
-	if len(inj.delayed) > 0 && inj.delayed[0].cycle <= upTo {
-		panic("harden: SkipTo across a held completion")
-	}
-	if inj.plan.BusyPermille > 0 || inj.plan.StormPermille > 0 {
-		for c := inj.now + 1; c <= upTo; c++ {
-			if inj.plan.BusyPermille > 0 && c >= inj.busyTill &&
-				int(inj.next()%1000) < inj.plan.BusyPermille {
-				panic("harden: SkipTo across a busy-burst fire")
-			}
-			if inj.plan.StormPermille > 0 &&
-				int(inj.next()%1000) < inj.plan.StormPermille {
-				panic("harden: SkipTo across an eviction-storm fire")
-			}
-		}
-	}
-	if upTo > inj.now {
-		inj.now = upTo
-	}
-}
+// SkipTo is unreachable: NextEvent never lets the run loop skip.
+func (inj *Injector) SkipTo(uint64) { panic("harden: SkipTo on a fault injector") }
 
 // schedule queues fn to run at the given cycle during a future Tick.
 func (inj *Injector) schedule(cycle uint64, fn func(uint64)) {

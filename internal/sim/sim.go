@@ -156,7 +156,8 @@ type Config struct {
 
 	// NoSkipAhead disables event-driven clock skip-ahead. With the
 	// default (skip enabled), the run loop jumps the clock over runs of
-	// cycles it can prove are pure stalls on every component — final
+	// cycles it can prove are pure stalls on every component. Only runs
+	// with Banked or ViReC cores and no fault injection can skip; final
 	// architectural state, metrics and heartbeat streams are
 	// byte-identical either way (the skip-ahead equivalence suite and the
 	// difftest -skipahead=off lane hold this). Disabling forces the
@@ -239,10 +240,9 @@ type System struct {
 
 	// devices lists every clocked component once, in tick order: cores,
 	// dcaches, icaches, fault injectors, the crossbar, then DRAM or the
-	// fixed-latency device. Run ticks and skip-refreshes the system by
-	// walking it. probe holds the same devices in the order skipTarget
-	// asks them: the injectors move behind the memory devices.
-	devices, probe []device
+	// fixed-latency device. Run ticks, probes and skip-refreshes the
+	// system by walking it.
+	devices []device
 
 	// Registry is the run's unified metric namespace: every structure's
 	// counters, gauges and histograms live here under per-structure
@@ -434,11 +434,8 @@ func New(cfg Config) (*System, error) {
 		s.Cores = append(s.Cores, core)
 	}
 
-	front := slices.Concat(devicesOf(s.Cores), devicesOf(s.DCaches), devicesOf(s.ICaches))
-	memory := []device{s.Xbar, below}
-	injectors := devicesOf(s.Injectors)
-	s.devices = slices.Concat(front, injectors, memory)
-	s.probe = slices.Concat(front, memory, injectors)
+	s.devices = slices.Concat(devicesOf(s.Cores), devicesOf(s.DCaches), devicesOf(s.ICaches),
+		devicesOf(s.Injectors), []device{s.Xbar, below})
 
 	s.offload()
 	s.recordOracles()
@@ -749,10 +746,9 @@ func nextBoundary(c, k uint64) uint64 {
 // the window, and every device's NextEvent agrees. The loop may then jump
 // the clock without changing any observable behavior.
 //
-// Devices are asked in probe order, each against the tightest bound found
-// so far. Cores lead, so a busy core ends the probe at once. Injectors
-// come last: their NextEvent previews RNG draws for every cycle up to the
-// bound, so they must see the one the memory devices set.
+// Devices are asked in tick order, each against the tightest bound found
+// so far. Cores lead, so a busy core ends the probe at once; an attached
+// fault injector always ends it.
 //
 //virec:hotpath
 func (s *System) skipTarget(now uint64, wd *harden.Watchdog) uint64 {
@@ -764,7 +760,7 @@ func (s *System) skipTarget(now uint64, wd *harden.Watchdog) uint64 {
 	// The first observer boundary at or after now+1 must be ticked so its
 	// check or delta happens exactly where an unskipped run takes it.
 	t = min(t, nextBoundary(now+1, cfg.Harden.CheckEvery), nextBoundary(now+1, cfg.HeartbeatEvery))
-	for _, d := range s.probe {
+	for _, d := range s.devices {
 		if t <= now+1 {
 			break
 		}

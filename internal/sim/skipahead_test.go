@@ -96,11 +96,13 @@ func requireEquivalent(t *testing.T, cfg sim.Config) {
 }
 
 // TestSkipAheadEquivalenceGrid is the core soundness wall: across
-// workloads, register providers, replacement policies and fault
-// schedules, a skip-ahead run must be indistinguishable from a
-// tick-every-cycle run — same final architectural state (golden-model
-// validated), same cycle count, byte-identical metrics and heartbeat
-// stream.
+// workloads and the providers and replacement policies that can skip, a
+// skip-ahead run must be indistinguishable from a tick-every-cycle run —
+// same final architectural state (golden-model validated), same cycle
+// count, byte-identical metrics and heartbeat stream. The cells that
+// cannot skip (Software and Prefetch providers, any fault schedule) run
+// once and must skip nothing: comparing two runs of the same loop would
+// prove nothing.
 func TestSkipAheadEquivalenceGrid(t *testing.T) {
 	type axis struct {
 		kind   sim.CoreKind
@@ -137,11 +139,34 @@ func TestSkipAheadEquivalenceGrid(t *testing.T) {
 					if f.Name != "none" {
 						cfg.Harden = harden.Config{FaultSeed: 0xabad1dea, Plan: f.Plan}
 					}
+					if f.Name != "none" || (p.kind != sim.Banked && p.kind != sim.ViReC) {
+						if _, skipped := runSkipping(t, cfg); skipped != 0 {
+							t.Fatalf("skipped %d cycles; skip-ahead must stay off here", skipped)
+						}
+						return
+					}
 					requireEquivalent(t, cfg)
 				})
 			}
 		}
 	}
+}
+
+// runSkipping runs cfg with skip-ahead enabled and value validation on,
+// and returns the result with the number of cycles skipped.
+func runSkipping(t *testing.T, cfg sim.Config) (*sim.Result, uint64) {
+	t.Helper()
+	cfg.ValidateValues = true
+	cfg.NoSkipAhead = false
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, s.SkipAheadCycles()
 }
 
 // TestSkipAheadEquivalenceMultiCore pins the full-system composition:
@@ -159,7 +184,6 @@ func TestSkipAheadEquivalenceMultiCore(t *testing.T) {
 		ContextPct:     60,
 		Policy:         vrmu.LRC,
 		Harden: harden.Config{
-			FaultSeed:      77,
 			WatchdogWindow: 100_000,
 			CheckEvery:     300,
 		},
@@ -201,56 +225,57 @@ func TestSkipAheadEquivalenceNoICache(t *testing.T) {
 	}
 }
 
-// TestSkipAheadEquivalenceFixedLatencyFaults covers fault injectors
-// stacked above the DelayDevice: the injectors' RNG preview is bounded by
-// the fixed-latency completions instead of DRAM events.
-func TestSkipAheadEquivalenceFixedLatencyFaults(t *testing.T) {
-	ch, _ := workloads.ByName("chase")
-	for _, np := range harden.Schedules() {
-		t.Run(np.Name, func(t *testing.T) {
-			t.Parallel()
-			requireEquivalent(t, sim.Config{
-				Kind:            sim.ViReC,
-				ThreadsPerCore:  2,
-				Workload:        ch,
-				Iters:           32,
-				ContextPct:      60,
-				Policy:          vrmu.LRC,
-				FixedMemLatency: 150,
-				Harden:          harden.Config{FaultSeed: 0x5eed, Plan: np.Plan},
-			})
-		})
-	}
-}
-
-// TestSkipAheadActuallySkips guards against the equivalence suite passing
-// vacuously: on a pointer chase with two threads, long memory stalls must
-// dominate, and the skip path must not silently degrade into ticking
-// every cycle. SkipAheadCycles counts cycles the run never ticked.
+// TestSkipAheadActuallySkips pins where skip-ahead engages. On a
+// two-thread pointer chase, long memory stalls dominate: the Banked and
+// ViReC providers must skip a real share of the cycles, so the
+// equivalence suite cannot pass vacuously. The Software and Prefetch
+// providers implement no skip previews, and an attached fault injector
+// vetoes every skip, so those runs must tick every cycle.
+// SkipAheadCycles counts cycles the run never ticked.
 func TestSkipAheadActuallySkips(t *testing.T) {
+	type row struct {
+		name  string
+		kind  sim.CoreKind
+		plan  *harden.FaultPlan
+		skips bool
+	}
+	rows := []row{
+		{"banked", sim.Banked, nil, true},
+		{"virec", sim.ViReC, nil, true},
+		{"software", sim.Software, nil, false},
+		{"prefetch-full", sim.PrefetchFull, nil, false},
+		{"prefetch-exact", sim.PrefetchExact, nil, false},
+	}
+	for _, np := range harden.Schedules() {
+		rows = append(rows, row{"virec/faults=" + np.Name, sim.ViReC, &np.Plan, false})
+	}
 	ch, _ := workloads.ByName("chase")
-	s, err := sim.New(sim.Config{
-		Kind:           sim.ViReC,
-		ThreadsPerCore: 2,
-		Workload:       ch,
-		Iters:          64,
-		ContextPct:     100,
-		Policy:         vrmu.LRC,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	skipped := s.SkipAheadCycles()
-	if skipped == 0 {
-		t.Fatal("skip-ahead never engaged on a pointer chase")
-	}
-	if frac := float64(skipped) / float64(res.Cycles); frac < 0.2 {
-		t.Errorf("skip-ahead compressed only %.1f%% of %d cycles; expected memory stalls to dominate a chase",
-			frac*100, res.Cycles)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := sim.Config{
+				Kind:           r.kind,
+				ThreadsPerCore: 2,
+				Workload:       ch,
+				Iters:          64,
+				ContextPct:     100,
+				Policy:         vrmu.LRC,
+			}
+			if r.plan != nil {
+				cfg.Harden = harden.Config{FaultSeed: 0x5eed, Plan: *r.plan}
+			}
+			res, skipped := runSkipping(t, cfg)
+			if !r.skips {
+				if skipped != 0 {
+					t.Fatalf("skipped %d of %d cycles; skip-ahead must stay off here", skipped, res.Cycles)
+				}
+				return
+			}
+			if frac := float64(skipped) / float64(res.Cycles); frac < 0.2 {
+				t.Errorf("skip-ahead compressed only %.1f%% of %d cycles; expected memory stalls to dominate a chase",
+					frac*100, res.Cycles)
+			}
+		})
 	}
 }
 
@@ -344,35 +369,38 @@ func BenchmarkSkipAhead(b *testing.B) {
 	}
 }
 
-// TestSkipAheadLivelockTripsIdentically pins error behavior: a blocked
-// register fill livelocks the machine, and the watchdog must trip at the
-// same cycle with and without skip-ahead (the skip window is capped at
-// the watchdog deadline).
+// TestSkipAheadLivelockTripsIdentically pins error behavior: with a
+// watchdog window shorter than one 300-cycle memory round trip, a
+// single-thread chase trips the watchdog during a stall the skip side
+// jumps across. The skip window is capped at the watchdog deadline, so
+// the trip must land on the same cycle with and without skip-ahead.
 func TestSkipAheadLivelockTripsIdentically(t *testing.T) {
-	g, _ := workloads.ByName("gather")
-	run := func(noSkip bool) *sim.LivelockError {
-		_, err := sim.Simulate(sim.Config{
-			Kind:           sim.ViReC,
-			ThreadsPerCore: 4,
-			Workload:       g,
-			Iters:          64,
-			ContextPct:     60,
-			Policy:         vrmu.LRC,
-			NoSkipAhead:    noSkip,
-			Harden: harden.Config{
-				FaultSeed:      42,
-				Plan:           harden.FaultPlan{BlockRegisterFills: true},
-				WatchdogWindow: 5_000,
-			},
+	ch, _ := workloads.ByName("chase")
+	run := func(noSkip bool) (*sim.LivelockError, uint64) {
+		s, err := sim.New(sim.Config{
+			Kind:            sim.Banked,
+			ThreadsPerCore:  1,
+			Workload:        ch,
+			Iters:           32,
+			FixedMemLatency: 300,
+			NoSkipAhead:     noSkip,
+			Harden:          harden.Config{WatchdogWindow: 250},
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Run()
 		le, ok := err.(*sim.LivelockError)
 		if !ok {
 			t.Fatalf("err = %v (%T), want *sim.LivelockError", err, err)
 		}
-		return le
+		return le, s.SkipAheadCycles()
 	}
-	a := run(false)
-	b := run(true)
+	a, skipped := run(false)
+	b, _ := run(true)
+	if skipped == 0 {
+		t.Fatal("the skip side skipped no cycles before the trip")
+	}
 	if a.Cycle != b.Cycle || a.LastProgress != b.LastProgress {
 		t.Errorf("livelock trip diverges: skip cycle=%d last=%d, noskip cycle=%d last=%d",
 			a.Cycle, a.LastProgress, b.Cycle, b.LastProgress)
